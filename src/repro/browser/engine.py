@@ -330,10 +330,10 @@ class BrowserEngine:
         slot_phase = "interaction" if gated else "load"
         if phase == "load" and slot_phase == "interaction":
             return  # whole subtree waits for the interaction pass
-        if not state.sampler.is_included(slot):
-            return
-        concrete = state.sampler.concrete_url(slot)
         if slot_phase == phase:
+            if not state.sampler.is_included(slot):
+                return
+            concrete = state.sampler.concrete_url(slot)
             emit_context = _LoadContext(
                 frame_id=context.frame_id,
                 parent_frame_id=context.parent_frame_id,
@@ -374,8 +374,9 @@ class BrowserEngine:
             self._set_cookies(state, slot, concrete)
             state.slot_contexts[slot.slot_id] = child_context
         else:
-            # Interaction pass crossing an already-loaded eager slot: reuse
-            # the child context captured during the load pass.
+            # Interaction pass crossing an eager slot: the load pass cached
+            # its child context exactly when it included the slot, so the
+            # inclusion and URL draws are not repeated.
             cached = state.slot_contexts.get(slot.slot_id)
             if cached is None:
                 return
@@ -564,7 +565,8 @@ _CONTENT_TYPES = {
 def _shuffled(slots, visit_seed: int, label: str):
     """Sibling slots in this visit's network-race order."""
     ordered = list(slots)
-    child_rng(visit_seed, "order", label).shuffle(ordered)
+    if len(ordered) > 1:  # shuffling 0 or 1 items draws nothing
+        child_rng(visit_seed, "order", label).shuffle(ordered)
     return ordered
 
 

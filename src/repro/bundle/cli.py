@@ -203,3 +203,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (BundleError, ReproError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -84,6 +84,8 @@ class SlotSampler:
         creative token, both drawn from the slot's visit stream.
         """
         url = slot.url
+        if not slot.unique_path_token and slot.session_param is None:
+            return url
         rng = child_rng(self._visit_seed, "url", slot.slot_id)
         if slot.unique_path_token:
             token = token_hex(rng, 6)

@@ -9,7 +9,7 @@ a canonical, hashable representation with explicit query-parameter access
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import List, Optional, Tuple
 from urllib.parse import quote, unquote, urlsplit
 
@@ -149,11 +149,21 @@ class URL:
     # -- serialization -----------------------------------------------------
 
     def __str__(self) -> str:
-        query = self.query_string
-        suffix = f"?{query}" if query else ""
-        # '%' is safe: every '%' in a canonical path already is (part of) a
-        # percent-escape, so re-quoting must not double-encode it.
-        return f"{self.origin}{quote(self.path, safe='/%')}{suffix}"
+        # Built on first use and memoized outside the fields, so equality,
+        # hashing, ordering and replace() never see it.
+        text = self.__dict__.get("_text")
+        if text is None:
+            query = self.query_string
+            suffix = f"?{query}" if query else ""
+            # '%' is safe: every '%' in a canonical path already is (part of)
+            # a percent-escape, so re-quoting must not double-encode it.
+            text = f"{self.origin}{quote(self.path, safe='/%')}{suffix}"
+            self.__dict__["_text"] = text
+        return text
+
+    def __getstate__(self) -> dict:
+        """Pickle the fields only, never the memoized string."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def _default_port(scheme: str) -> int:

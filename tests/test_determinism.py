@@ -6,6 +6,8 @@ require bit-identical analysis outputs, and run it with another seed and
 require different observations.
 """
 
+import hashlib
+
 import pytest
 
 from repro.analysis import (
@@ -19,6 +21,11 @@ from repro.crawler import Commander, MeasurementStore
 from repro.web import WebConfig, WebGenerator
 
 RANKS = [1, 2, 6001]
+
+#: sha256 over every stored row of ``run_pipeline_raw(404)``.  Any change
+#: to what the crawl draws or writes changes it; such a change must be a
+#: deliberate, versioned event, never a side effect of a refactor.
+STORE_DIGEST_404 = "eb75eaee0a2386a65755cd347dbd91c9b84bf7bf2764015579c80b7926f59170"
 
 
 def run_pipeline_raw(seed: int):
@@ -91,3 +98,18 @@ class TestPipelineDeterminism:
         first = fingerprint(dataset)
         second = fingerprint(dataset)
         assert first == second
+
+
+def store_digest(store: MeasurementStore) -> str:
+    digest = hashlib.sha256()
+    for table in store.table_names():
+        digest.update(f"[{table}]\n".encode("utf-8"))
+        for row in store.iter_table_rows(table):
+            digest.update(repr(row).encode("utf-8") + b"\n")
+    return digest.hexdigest()
+
+
+def test_store_bytes_pinned():
+    _, store, _ = run_pipeline_raw(404)
+    assert store.table_row_count("visits") == 45
+    assert store_digest(store) == STORE_DIGEST_404

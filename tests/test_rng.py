@@ -24,6 +24,31 @@ class TestDeriveSeed:
         assert derive_seed(1, "site", 42) == derive_seed(1, "site", "42")
 
 
+class TestKnownAnswers:
+    """Pinned outputs: any change to the seed hashing or stream seeding
+    changes every generated web and visit, so it must fail here."""
+
+    def test_derive_seed_visit_path(self):
+        assert derive_seed(2023, "visit", "https://a.com/", "Sim1", 7) == 18364463281185143254
+
+    def test_derive_seed_negative_seed_is_masked(self):
+        assert derive_seed(-1, "site", 42) == 9716295862048315149
+
+    def test_derive_seed_non_ascii_label(self):
+        assert derive_seed(5, "cookie", "h\u00e9llo-\u00fc\u2713") == 4681167805147840979
+
+    def test_child_rng_first_draws(self):
+        rng = child_rng(2023, "order", "top")
+        assert [rng.random() for _ in range(3)] == [
+            0.38913773216980985,
+            0.6790956757798376,
+            0.6888596443398934,
+        ]
+
+    def test_token_hex_from_child_rng(self):
+        assert token_hex(child_rng(7, "url", "slot-1"), 6) == "0bb65ad5424d"
+
+
 class TestChildRng:
     def test_independent_streams(self):
         a = [child_rng(1, "a").random() for _ in range(5)]

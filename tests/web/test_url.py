@@ -1,5 +1,9 @@
 """Tests for the URL value object."""
 
+import copy
+import dataclasses
+import pickle
+
 import pytest
 
 from repro.errors import InvalidURLError
@@ -145,3 +149,60 @@ class TestSerialization:
     def test_str_parse_fixpoint(self):
         url = URL.parse("https://example.com/x%20y?q=hello%26world")
         assert URL.parse(str(url)) == url
+
+
+class TestStringMemo:
+    """``str(url)`` is memoized on first use; the memo is not a field."""
+
+    RAW = "https://Example.com:8443/a%2Fb c/?q=1&s=&k=x y"
+
+    def test_string_unchanged(self):
+        url = URL.parse(self.RAW)
+        expected = "https://example.com:8443/a%2Fb%20c/?q=1&s=&k=x%20y"
+        assert str(url) == expected
+        assert str(url) == expected
+        assert str(URL.parse(expected)) == expected
+
+    def test_memo_reused(self):
+        url = URL.parse(self.RAW)
+        assert str(url) is str(url)
+
+    def test_identity_ignores_memo(self):
+        fresh, used = URL.parse(self.RAW), URL.parse(self.RAW)
+        str(used)
+        assert fresh == used
+        assert hash(fresh) == hash(used)
+        assert not fresh < used and not used < fresh
+        other = URL.parse("https://example.com/z")
+        str(other)
+        assert (fresh < other) == (used < other)
+
+    def test_fields_unchanged(self):
+        url = URL.parse(self.RAW)
+        str(url)
+        assert [f.name for f in dataclasses.fields(url)] == [
+            "scheme", "host", "path", "query", "port"
+        ]
+        assert dataclasses.asdict(url) == dataclasses.asdict(URL.parse(self.RAW))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            url.host = "other.com"
+
+    def test_pickle_ignores_memo(self):
+        fresh, used = URL.parse(self.RAW), URL.parse(self.RAW)
+        str(used)
+        assert pickle.dumps(used) == pickle.dumps(fresh)
+        restored = pickle.loads(pickle.dumps(used))
+        assert restored == used
+        assert str(restored) == str(used)
+
+    def test_derived_urls_do_not_inherit_memo(self):
+        fresh, used = URL.parse(self.RAW), URL.parse(self.RAW)
+        str(used)
+        added = used.with_param("extra", "1")
+        stripped = used.strip_query_values()
+        assert added == fresh.with_param("extra", "1")
+        assert str(added) == str(fresh.with_param("extra", "1"))
+        assert str(added) == f"{used}&extra=1"
+        assert stripped == fresh.strip_query_values()
+        assert str(stripped) == "https://example.com:8443/a%2Fb%20c/?q=&s=&k="
+        assert copy.copy(used) == used and str(copy.copy(used)) == str(used)
