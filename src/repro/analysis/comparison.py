@@ -87,7 +87,7 @@ class NodeComparison:
 
     @property
     def min_depth(self) -> int:
-        return min(view.depth for view in self.present_views())
+        return min(view.depth for view in self.views if view is not None)
 
     def depths(self) -> List[int]:
         return [view.depth for view in self.present_views()]
@@ -117,21 +117,19 @@ class NodeComparison:
         about the parent and are skipped — otherwise a node observed in a
         single profile would score J(∅, ∅) = 1 against every other absent
         tree and look deceptively stable.
+
+        Parent sets hold at most one key, so each informative pair scores
+        exactly 1 (same parent) or 0, and the mean is a count ratio.
         """
-        parent_sets = [
-            frozenset([view.parent_key]) if view is not None and view.parent_key is not None
-            else frozenset()
-            for view in self.views
-        ]
-        values = []
-        for i in range(len(parent_sets)):
-            for j in range(i + 1, len(parent_sets)):
-                if not parent_sets[i] and not parent_sets[j]:
+        parents = [view.parent_key if view is not None else None for view in self.views]
+        equal = informative = 0
+        for i, parent in enumerate(parents):
+            for other in parents[i + 1 :]:
+                if parent is None and other is None:
                     continue
-                values.append(jaccard(parent_sets[i], parent_sets[j]))
-        if not values:
-            return 1.0
-        return sum(values) / len(values)
+                informative += 1
+                equal += parent == other
+        return equal / informative if informative else 1.0
 
     def parent_similarity_present_only(self) -> float:
         """Parent similarity restricted to trees containing the node."""

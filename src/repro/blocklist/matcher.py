@@ -5,6 +5,8 @@ parsed filters with EasyList semantics: a blocking filter must match and
 no exception filter may match.  Filters anchored to a domain (``||``)
 are indexed by host suffix so that the common case — checking a URL
 against a large list — touches only a handful of candidate filters.
+A list never changes after construction, so :meth:`FilterList.is_tracking`
+remembers each verdict.
 """
 
 from __future__ import annotations
@@ -59,6 +61,12 @@ class FilterList:
             else:
                 generic.append(flt)
         self._size = len(filters)
+        self._verdicts: Dict[Tuple[str, ResourceType, Optional[str]], bool] = {}
+
+    def __getstate__(self) -> dict:
+        # Verdicts are recomputable: pickle (e.g. to pool workers) ships
+        # only the compiled filters, whatever was matched before.
+        return {**self.__dict__, "_verdicts": {}}
 
     def __len__(self) -> int:
         return self._size
@@ -73,13 +81,17 @@ class FilterList:
     def match(self, url: str, context: Optional[MatchContext] = None) -> MatchResult:
         """Full evaluation: blocking filters, then exceptions."""
         context = context or MatchContext()
+        host = (urlsplit(url).hostname or "").lower()
+        resource_type, page_host = context.resource_type, context.page_host
         blocking = self._first_match(
-            url, context, self._anchored_blocking, self._generic_blocking
+            url, host, page_host, resource_type,
+            self._anchored_blocking, self._generic_blocking,
         )
         if blocking is None:
             return MatchResult(blocked=False)
         exception = self._first_match(
-            url, context, self._anchored_exceptions, self._generic_exceptions
+            url, host, page_host, resource_type,
+            self._anchored_exceptions, self._generic_exceptions,
         )
         if exception is not None:
             return MatchResult(blocked=False, matched_filter=blocking, exception_filter=exception)
@@ -92,41 +104,50 @@ class FilterList:
         page_url: Optional[str] = None,
     ) -> bool:
         """The paper's classifier: URL on the list → tracking request."""
-        return self.match(
-            url, MatchContext(resource_type=resource_type, page_url=page_url)
-        ).blocked
+        key = (url, resource_type, page_url)
+        verdict = self._verdicts.get(key)
+        if verdict is None:
+            verdict = self._verdicts[key] = self.match(
+                url, MatchContext(resource_type=resource_type, page_url=page_url)
+            ).blocked
+        return verdict
 
     # -- internals ---------------------------------------------------------
 
     def _first_match(
         self,
         url: str,
-        context: MatchContext,
+        host: str,
+        page_host: Optional[str],
+        resource_type: ResourceType,
         anchored: Dict[str, List[Filter]],
         generic: List[Filter],
     ) -> Optional[Filter]:
-        host = (urlsplit(url).hostname or "").lower()
         for candidate_domain in _host_suffixes(host):
             for flt in anchored.get(candidate_domain, ()):
-                if self._filter_matches(flt, url, host, context):
+                if self._filter_matches(flt, url, host, page_host, resource_type):
                     return flt
         for flt in generic:
-            if self._filter_matches(flt, url, host, context):
+            if self._filter_matches(flt, url, host, page_host, resource_type):
                 return flt
         return None
 
     def _filter_matches(
-        self, flt: Filter, url: str, host: str, context: MatchContext
+        self,
+        flt: Filter,
+        url: str,
+        host: str,
+        page_host: Optional[str],
+        resource_type: ResourceType,
     ) -> bool:
         options = flt.options
-        if not options.allows_type(context.resource_type):
+        if not options.allows_type(resource_type):
             return False
         if options.third_party is not None:
-            page_host = context.page_host
             is_third = page_host is not None and not psl.same_site(host, page_host)
             if not options.allows_party(is_third):
                 return False
-        if not options.allows_page_domain(context.page_host):
+        if not options.allows_page_domain(page_host):
             return False
         return flt.matches_url(url)
 

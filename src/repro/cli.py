@@ -171,7 +171,7 @@ def _open_source(args: argparse.Namespace, obs: ObsContext):
         return bundle.replay(obs=obs), bundle.seed
     if not args.db:
         raise SystemExit("one of --db or --from-bundle is required")
-    return MeasurementStore(args.db, obs=obs), (
+    return MeasurementStore(args.db, readonly=True, obs=obs), (
         args.seed if args.seed is not None else 2023
     )
 

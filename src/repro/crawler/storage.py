@@ -136,7 +136,10 @@ class MeasurementStore:
             if path == ":memory:":
                 raise StorageError("cannot open an in-memory store read-only")
             uri = f"file:{_uri_quote(os.path.abspath(path))}?mode=ro"
-            self._conn = sqlite3.connect(uri, uri=True)
+            try:
+                self._conn = sqlite3.connect(uri, uri=True)
+            except sqlite3.OperationalError as exc:
+                raise StorageError(f"cannot open store {path} read-only: {exc}") from exc
             try:
                 self._check_schema_version()
             except StorageError:

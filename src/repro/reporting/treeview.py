@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from ..trees.tree import DependencyTree
 from ..trees.node import TreeNode
@@ -30,23 +30,29 @@ def render_tree(
     sibling lists (an ellipsis line shows how many were hidden).
     """
     lines: List[str] = [f"{tree.page_url}  ({tree.profile_name}, {tree.node_count} nodes)"]
-
-    def walk(node: TreeNode, prefix: str) -> None:
+    # An explicit stack (not recursion) so arbitrarily deep trees render:
+    # (prefix, node) expands ``node``; (line, None) emits a finished line.
+    pending: List[Tuple[str, Optional[TreeNode]]] = [("", tree.root)]
+    while pending:
+        prefix, node = pending.pop()
+        if node is None:
+            lines.append(prefix)
+            continue
         children = node.children
         shown = children[:max_children]
         hidden = len(children) - len(shown)
+        expanded: List[Tuple[str, Optional[TreeNode]]] = []
         for index, child in enumerate(shown):
             is_last = index == len(shown) - 1 and hidden == 0
             connector = "`-- " if is_last else "|-- "
             annotation = _annotations(child) if annotate else ""
-            lines.append(f"{prefix}{connector}{child.key}{annotation}")
+            expanded.append((f"{prefix}{connector}{child.key}{annotation}", None))
             if max_depth is None or child.depth < max_depth:
                 extension = "    " if is_last else "|   "
-                walk(child, prefix + extension)
+                expanded.append((prefix + extension, child))
         if hidden > 0:
-            lines.append(f"{prefix}`-- ... {hidden} more")
-
-    walk(tree.root, "")
+            expanded.append((f"{prefix}`-- ... {hidden} more", None))
+        pending.extend(reversed(expanded))
     return "\n".join(lines)
 
 

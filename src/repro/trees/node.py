@@ -72,10 +72,16 @@ class TreeNode:
         return not self._children
 
     def walk(self) -> Iterator["TreeNode"]:
-        """This node and all descendants, depth-first preorder."""
-        yield self
-        for child in self._children.values():
-            yield from child.walk()
+        """This node and all descendants, depth-first preorder.
+
+        Iterative, so redirect chains deeper than the interpreter's
+        recursion limit walk like any other tree.
+        """
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            yield node
+            stack.extend(reversed(node._children.values()))
 
     def ancestors(self) -> Iterator["TreeNode"]:
         """Parent, grandparent, ..., root."""

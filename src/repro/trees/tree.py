@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from collections import defaultdict
+from itertools import islice
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from ..blocklist.matcher import FilterList
@@ -18,6 +18,10 @@ class DependencyTree:
     elements the page loaded directly; deeper nodes were loaded by their
     parent element.  Node identity is the normalized URL, so the tree also
     acts as a key → node index.
+
+    Structural queries read one lazily built index (preorder node list and
+    per-depth lists).  :meth:`attach` is the only structural mutator and
+    clears it; annotations change node flags, never the shape.
     """
 
     def __init__(self, page_url: str, profile_name: str, visit_id: int) -> None:
@@ -26,6 +30,7 @@ class DependencyTree:
         self.visit_id = visit_id
         self.root = TreeNode(key=page_url, resource_type=ResourceType.MAIN_FRAME)
         self._nodes: Dict[str, TreeNode] = {page_url: self.root}
+        self._index: Optional[Tuple[List[TreeNode], Dict[int, List[TreeNode]]]] = None
 
     # -- construction ------------------------------------------------------
 
@@ -55,6 +60,7 @@ class DependencyTree:
             node.during_interaction = during_interaction
             self._nodes[key] = node
             parent.add_child(node)
+            self._index = None
         node.raw_urls.add(raw_url)
         node.request_ids.append(request_id)
         return node
@@ -67,18 +73,25 @@ class DependencyTree:
     def __contains__(self, key: str) -> bool:
         return key in self._nodes
 
+    def _indexed(self) -> Tuple[List[TreeNode], Dict[int, List[TreeNode]]]:
+        """(preorder nodes with the root first, depth → nodes in preorder)."""
+        if self._index is None:
+            preorder = list(self.root.walk())
+            by_depth: Dict[int, List[TreeNode]] = {}
+            for node in preorder:
+                by_depth.setdefault(node.depth, []).append(node)
+            self._index = (preorder, by_depth)
+        return self._index
+
     def nodes(self, include_root: bool = False) -> Iterator[TreeNode]:
         """All nodes (depth-first); the root is excluded by default."""
-        for node in self.root.walk():
-            if node.is_root and not include_root:
-                continue
-            yield node
+        return islice(self._indexed()[0], 0 if include_root else 1, None)
 
     def keys(self, include_root: bool = False) -> Set[str]:
         return {node.key for node in self.nodes(include_root=include_root)}
 
     def nodes_at_depth(self, depth: int) -> List[TreeNode]:
-        return [node for node in self.nodes(include_root=depth == 0) if node.depth == depth]
+        return list(self._indexed()[1].get(depth, ()))
 
     def keys_at_depth(self, depth: int) -> Set[str]:
         return {node.key for node in self.nodes_at_depth(depth)}
@@ -93,22 +106,16 @@ class DependencyTree:
     @property
     def max_depth(self) -> int:
         """Depth of the deepest node (0 for an empty tree)."""
-        return max((node.depth for node in self.nodes()), default=0)
+        return max(self._indexed()[1])
 
     @property
     def breadth(self) -> int:
         """The widest level: max number of nodes at any single depth."""
-        counts: Dict[int, int] = defaultdict(int)
-        for node in self.nodes():
-            counts[node.depth] += 1
-        return max(counts.values(), default=0)
+        return max(self.depth_histogram().values(), default=0)
 
     def depth_histogram(self) -> Dict[int, int]:
         """Number of nodes per depth (excluding the root)."""
-        counts: Dict[int, int] = defaultdict(int)
-        for node in self.nodes():
-            counts[node.depth] += 1
-        return dict(counts)
+        return {depth: len(nodes) for depth, nodes in self._indexed()[1].items() if depth}
 
     def branches(self) -> List[Tuple[str, ...]]:
         """All root-to-leaf dependency chains."""

@@ -17,6 +17,7 @@ The module intentionally mirrors the semantics of the real PSL algorithm:
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import FrozenSet, Optional, Tuple
 
 #: Plain suffix rules (a pragmatic subset of the real list).
@@ -55,11 +56,16 @@ _WILDCARDS: FrozenSet[str] = frozenset({"ck", "er", "fj", "kawasaki.jp"})
 #: Exceptions to wildcard rules (registrable despite the wildcard).
 _EXCEPTIONS: FrozenSet[str] = frozenset({"www.ck", "city.kawasaki.jp"})
 
+#: Lookups are pure functions of the host string, so both are memoized;
+#: the bound keeps a long-lived process from growing without limit.
+_LOOKUP_CACHE = 1 << 16
+
 
 def _labels(host: str) -> Tuple[str, ...]:
     return tuple(part for part in host.lower().strip(".").split(".") if part)
 
 
+@lru_cache(maxsize=_LOOKUP_CACHE)
 def public_suffix(host: str) -> Optional[str]:
     """Return the public suffix of ``host`` or ``None`` for empty input.
 
@@ -93,6 +99,7 @@ def public_suffix(host: str) -> Optional[str]:
     return labels[-1]
 
 
+@lru_cache(maxsize=_LOOKUP_CACHE)
 def registrable_domain(host: str) -> Optional[str]:
     """Return the eTLD+1 for ``host`` (the paper's *site*), if one exists.
 

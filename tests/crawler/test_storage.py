@@ -209,6 +209,16 @@ class TestMergeAndSnapshots:
         with pytest.raises(StorageError):
             MeasurementStore.open_readonly(":memory:")
 
+    def test_readonly_missing_path_rejected(self, tmp_path):
+        path = tmp_path / "missing.sqlite"
+        with pytest.raises(StorageError, match="missing.sqlite"):
+            MeasurementStore.open_readonly(str(path))
+        assert not path.exists()
+
+    def test_readonly_directory_rejected(self, tmp_path):
+        with pytest.raises(StorageError, match="read-only"):
+            MeasurementStore.open_readonly(str(tmp_path))
+
     def test_on_disk_store_uses_wal(self, tmp_path):
         with MeasurementStore(str(tmp_path / "db.sqlite")) as store:
             mode = store._conn.execute("PRAGMA journal_mode").fetchone()[0]

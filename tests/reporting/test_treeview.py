@@ -1,6 +1,8 @@
 """Tests for ASCII tree rendering."""
 
 from repro.reporting.treeview import render_tree, render_tree_summary
+from repro.trees.tree import DependencyTree
+from repro.web.resources import ResourceType
 
 from ..helpers import make_tree
 
@@ -50,6 +52,48 @@ class TestRenderTree:
         text = render_tree(sample_tree())
         assert text.splitlines()[0].startswith(PAGE)
         assert "Sim1" in text.splitlines()[0]
+
+
+    def test_exact_layout(self):
+        tree = make_tree(
+            PAGE,
+            {
+                "https://site.com/a.js": {
+                    "https://t.com/p.gif": None,
+                    "https://t.com/s.js": {"https://u.com/q.gif": None},
+                },
+                "https://ads.com/f.html": {
+                    f"https://ads.com/{i}.jpg": None for i in range(4)
+                },
+                "https://site.com/b.png": None,
+            },
+            profile="Sim1",
+        )
+        assert render_tree(tree, max_children=3) == "\n".join(
+            [
+                "https://site.com/  (Sim1, 10 nodes)",
+                "|-- https://site.com/a.js [script, 1p]",
+                "|   |-- https://t.com/p.gif [beacon, 3p]",
+                "|   `-- https://t.com/s.js [script, 3p]",
+                "|       `-- https://u.com/q.gif [beacon, 3p]",
+                "|-- https://ads.com/f.html [sub_frame, 3p]",
+                "|   |-- https://ads.com/0.jpg [image, 3p]",
+                "|   |-- https://ads.com/1.jpg [image, 3p]",
+                "|   |-- https://ads.com/2.jpg [image, 3p]",
+                "|   `-- ... 1 more",
+                "`-- https://site.com/b.png [image, 1p]",
+            ]
+        )
+
+    def test_chain_deeper_than_recursion_limit(self):
+        tree = DependencyTree(PAGE, "Sim1", 1)
+        parent = tree.root
+        for hop in range(1500):
+            url = f"https://site.com/hop/{hop}"
+            parent = tree.attach(url, ResourceType.SCRIPT, parent, url, hop + 1)
+        lines = render_tree(tree, annotate=False).splitlines()
+        assert len(lines) == 1501
+        assert lines[-1] == " " * 4 * 1499 + "`-- https://site.com/hop/1499"
 
 
 class TestSummary:

@@ -2,9 +2,14 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cli import main
 
 
@@ -51,6 +56,30 @@ class TestAnalyze:
             ["analyze", "--db", crawl_db, "--seed", "999", "--experiments", "table2"]
         )
         assert code == 0
+
+
+    def test_missing_db_is_not_created(self, tmp_path):
+        # A read path opens existing stores only: a missing --db fails
+        # with a StorageError naming it, instead of creating an empty
+        # store that then fails analysis with a misleading error.
+        missing = tmp_path / "missing.sqlite"
+        env = dict(os.environ)
+        src = str(Path(repro.__file__).resolve().parent.parent)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-m", "repro", "analyze", "--db", str(missing),
+             "--experiments", "table2"],
+            capture_output=True,
+            text=True,
+            env=env,
+            cwd=tmp_path,
+        )
+        assert result.returncode != 0
+        assert "StorageError" in result.stderr
+        assert str(missing) in result.stderr
+        assert "AnalysisError" not in result.stderr
+        assert not missing.exists()
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestExport:

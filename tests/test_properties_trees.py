@@ -7,12 +7,16 @@ dependency tree.
 
 import string
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.comparison import NodeComparison, NodeView
+from repro.analysis.jaccard import jaccard
 from repro.browser.engine import BrowserEngine
 from repro.browser.profile import PAPER_PROFILES, PROFILE_SIM1
 from repro.trees.builder import build_tree
+from repro.trees.tree import DependencyTree
 from repro.web.blueprint import InclusionRule, InitiatorKind, PageBlueprint, ResourceSlot
 from repro.web.resources import ResourceType
 from repro.web.url import URL
@@ -129,3 +133,122 @@ def test_all_profiles_produce_buildable_trees(visit_id):
         if result.success:
             tree = build_tree(result.visit, result.requests)
             assert tree.node_count > 0
+
+
+# -- the tree index against an independent recursive walk --------------------
+
+_TREE_KEYS = [f"https://{host}/{i}.js" for host in ("site.com", "cdn.net") for i in range(6)]
+
+#: (key index, parent choice, query after this attach?)
+_attach_steps = st.lists(
+    st.tuples(
+        st.integers(0, len(_TREE_KEYS) - 1), st.integers(0, 99), st.booleans()
+    ),
+    max_size=30,
+)
+
+
+def _reference_preorder(node):
+    order = [node]
+    for child in node.children:
+        order.extend(_reference_preorder(child))
+    return order
+
+
+def _assert_index_matches_walk(tree):
+    preorder = _reference_preorder(tree.root)
+    rest = preorder[1:]
+    assert list(tree.nodes(include_root=True)) == preorder
+    assert list(tree.nodes()) == rest
+    assert list(tree.nodes(include_root=False)) == rest
+    histogram = {}
+    for node in rest:
+        histogram[node.depth] = histogram.get(node.depth, 0) + 1
+    for depth in range(-1, max(histogram, default=0) + 2):
+        expected = [node for node in preorder if node.depth == depth]
+        tree.nodes_at_depth(depth).clear()  # callers get a copy
+        assert tree.nodes_at_depth(depth) == expected
+        assert tree.keys_at_depth(depth) == {node.key for node in expected}
+    assert tree.max_depth == max((node.depth for node in rest), default=0)
+    assert list(tree.depth_histogram().items()) == list(histogram.items())
+    assert tree.breadth == max(histogram.values(), default=0)
+
+
+@given(_attach_steps)
+@settings(max_examples=80, deadline=None)
+def test_tree_index_matches_recursive_walk(steps):
+    tree = DependencyTree("https://site.com/", "P", 1)
+    placed = [tree.root]
+    _assert_index_matches_walk(tree)
+    for request_id, (key_index, parent_choice, query) in enumerate(steps, start=1):
+        key = _TREE_KEYS[key_index]
+        node = tree.attach(
+            key, ResourceType.SCRIPT, placed[parent_choice % len(placed)], key, request_id
+        )
+        if node not in placed:
+            placed.append(node)
+        if query:
+            _assert_index_matches_walk(tree)
+    _assert_index_matches_walk(tree)
+
+
+# -- the rewritten comparison measures against their set definitions ---------
+
+_views = st.lists(
+    st.one_of(
+        st.none(),
+        st.builds(
+            lambda depth, parent: NodeView(
+                depth=depth,
+                parent_key=parent,
+                children=frozenset(),
+                resource_type=ResourceType.SCRIPT,
+                is_third_party=False,
+                is_tracking=False,
+                chain=(),
+                during_interaction=False,
+            ),
+            st.integers(1, 6),
+            st.sampled_from([None, "https://a.com/", "https://b.com/", "https://c.com/"]),
+        ),
+    ),
+    min_size=1,
+    max_size=6,
+).map(tuple)
+
+
+def _set_parent_similarity(views):
+    """The pairwise-mean Jaccard of per-tree parent sets (Appendix D)."""
+    parent_sets = [
+        frozenset([view.parent_key]) if view is not None and view.parent_key is not None
+        else frozenset()
+        for view in views
+    ]
+    values = []
+    for i in range(len(parent_sets)):
+        for j in range(i + 1, len(parent_sets)):
+            if not parent_sets[i] and not parent_sets[j]:
+                continue
+            values.append(jaccard(parent_sets[i], parent_sets[j]))
+    if not values:
+        return 1.0
+    return sum(values) / len(values)
+
+
+@given(_views)
+@settings(max_examples=300, deadline=None)
+def test_parent_similarity_equals_set_definition(views):
+    node = NodeComparison(key="https://x.com/", views=views)
+    assert node.parent_similarity() == _set_parent_similarity(views)
+
+
+@given(_views)
+@settings(max_examples=100, deadline=None)
+def test_min_depth_matches_present_views(views):
+    node = NodeComparison(key="https://x.com/", views=views)
+    present = node.present_views()
+    if present:
+        assert node.min_depth == min(view.depth for view in present)
+    else:
+        with pytest.raises(ValueError):
+            node.min_depth

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.analysis.comparison import PageComparison
 from repro.browser.callstack import CallStack, EMPTY_STACK
 from repro.browser.network import RequestRecord, VisitRecord
 from repro.errors import TreeConstructionError
@@ -214,3 +215,30 @@ class TestStoreIntegration:
         list(builder.iter_page_trees(store, profiles))
         # A large share of synthetic URLs carries session params.
         assert 0.05 < builder.normalizer.stats.changed_ratio < 0.9
+
+
+class TestDeepRedirectChains:
+    """Trees deeper than the interpreter's recursion limit (~1,000)."""
+
+    HOPS = 5000
+
+    def test_deep_chain_measures_and_compares(self):
+        records = [main_request()] + [
+            request(
+                hop + 2,
+                f"https://r{hop % 7}.com/hop/{hop}",
+                redirect_from=hop + 1 if hop else None,
+            )
+            for hop in range(self.HOPS)
+        ]
+        tree = TreeBuilder().build(make_visit(), records)
+        assert tree.max_depth == self.HOPS
+        assert len(tree.nodes_at_depth(self.HOPS)) == 1
+        assert tree.breadth == 1
+        assert len(list(tree.nodes())) == self.HOPS
+        comparison = PageComparison({"Sim1": tree})
+        assert comparison.max_depth() == self.HOPS
+        assert comparison.depth_similarity(self.HOPS) == 1.0
+        deepest = comparison.node(f"https://r{(self.HOPS - 1) % 7}.com/hop/{self.HOPS - 1}")
+        assert deepest.min_depth == self.HOPS
+        assert deepest.parent_similarity() == 1.0
