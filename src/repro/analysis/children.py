@@ -87,7 +87,7 @@ class ChildrenAnalyzer:
         parent_values: Dict[int, List[float]] = defaultdict(list)
         for node in dataset.iter_nodes():
             bucket = min(node.min_depth, combine_after)
-            if any(view.child_count > 0 for view in node.present_views()):
+            if node.has_children:
                 child_values[bucket].append(node.child_similarity())
             if node.min_depth >= 1:
                 parent_values[bucket].append(node.parent_similarity())

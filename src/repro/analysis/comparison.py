@@ -9,16 +9,24 @@ this structure, so the expensive alignment happens once per page.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Dict, FrozenSet, List, Mapping, Optional, Tuple
 
 from ..errors import AnalysisError
 from ..trees.tree import DependencyTree
 from ..web.resources import ResourceType
 from .jaccard import jaccard, pairwise_mean_jaccard
 
+if TYPE_CHECKING:
+    from .horizontal import HorizontalResult
 
-@dataclass(frozen=True)
+
+def _derived(default=None):
+    """A field computed from the node's views, never passed or compared."""
+    return field(default=default, init=False, repr=False, compare=False)
+
+
+@dataclass(frozen=True, slots=True)
 class NodeView:
     """One tree's view of a node."""
 
@@ -40,38 +48,59 @@ class NodeView:
         return len(self.children)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NodeComparison:
-    """A node's views across all profiles (``None`` where absent)."""
+    """A node's views across all profiles (``None`` where absent).
+
+    The facts every analysis reads (present views, presence, tracking,
+    children, minimum depth) are computed once, at construction; the two
+    similarity measures on first call.  A node absent everywhere still
+    constructs; only asking for its depth or a representative view fails.
+    """
 
     key: str
     views: Tuple[Optional[NodeView], ...]
+    presence_count: int = _derived(0)
+    in_all_profiles: bool = _derived(False)
+    is_tracking: bool = _derived(False)
+    has_children: bool = _derived(False)
+    _present: Tuple[NodeView, ...] = _derived(())
+    _min_depth: Optional[int] = _derived()
+    _child_similarity: Optional[float] = _derived()
+    _parent_similarity: Optional[float] = _derived()
+
+    def __post_init__(self) -> None:
+        present = tuple(view for view in self.views if view is not None)
+        set_fact = object.__setattr__
+        set_fact(self, "_present", present)
+        set_fact(self, "presence_count", len(present))
+        set_fact(self, "in_all_profiles", len(present) == len(self.views))
+        set_fact(self, "is_tracking", any(view.is_tracking for view in present))
+        set_fact(self, "has_children", any(view.children for view in present))
+        if present:
+            set_fact(self, "_min_depth", min(view.depth for view in present))
+
+    def __reduce__(self):
+        # Pickle the inputs only: the facts are rebuilt and the memos start
+        # empty, so the bytes never depend on which measures were asked for.
+        return (type(self), (self.key, self.views))
 
     # -- presence ------------------------------------------------------------
-
-    @property
-    def presence_count(self) -> int:
-        return sum(1 for view in self.views if view is not None)
-
-    @property
-    def in_all_profiles(self) -> bool:
-        return all(view is not None for view in self.views)
 
     @property
     def in_one_profile(self) -> bool:
         return self.presence_count == 1
 
-    def present_views(self) -> List[NodeView]:
-        return [view for view in self.views if view is not None]
+    def present_views(self) -> Tuple[NodeView, ...]:
+        return self._present
 
     # -- representative attributes -------------------------------------------
 
     @property
     def any_view(self) -> NodeView:
-        for view in self.views:
-            if view is not None:
-                return view
-        raise AnalysisError(f"node {self.key!r} has no views")
+        if not self._present:
+            raise AnalysisError(f"node {self.key!r} has no views")
+        return self._present[0]
 
     @property
     def resource_type(self) -> ResourceType:
@@ -82,15 +111,13 @@ class NodeComparison:
         return self.any_view.is_third_party
 
     @property
-    def is_tracking(self) -> bool:
-        return any(view.is_tracking for view in self.present_views())
-
-    @property
     def min_depth(self) -> int:
-        return min(view.depth for view in self.views if view is not None)
+        if self._min_depth is None:
+            raise ValueError(f"node {self.key!r} has no views, so no depth")
+        return self._min_depth
 
     def depths(self) -> List[int]:
-        return [view.depth for view in self.present_views()]
+        return [view.depth for view in self._present]
 
     @property
     def same_depth_everywhere(self) -> bool:
@@ -105,8 +132,11 @@ class NodeComparison:
         Compared over the trees that contain the node (the paper compares
         children of reoccurring nodes); single-occurrence nodes score 1.
         """
-        child_sets = [view.children for view in self.present_views()]
-        return pairwise_mean_jaccard(child_sets)
+        value = self._child_similarity
+        if value is None:
+            value = pairwise_mean_jaccard([view.children for view in self._present])
+            object.__setattr__(self, "_child_similarity", value)
+        return value
 
     def parent_similarity(self) -> float:
         """Pairwise-mean Jaccard of the node's parent across *all* trees.
@@ -121,32 +151,36 @@ class NodeComparison:
         Parent sets hold at most one key, so each informative pair scores
         exactly 1 (same parent) or 0, and the mean is a count ratio.
         """
-        parents = [view.parent_key if view is not None else None for view in self.views]
-        equal = informative = 0
-        for i, parent in enumerate(parents):
-            for other in parents[i + 1 :]:
-                if parent is None and other is None:
-                    continue
-                informative += 1
-                equal += parent == other
-        return equal / informative if informative else 1.0
+        value = self._parent_similarity
+        if value is None:
+            parents = [view.parent_key if view is not None else None for view in self.views]
+            equal = informative = 0
+            for i, parent in enumerate(parents):
+                for other in parents[i + 1 :]:
+                    if parent is None and other is None:
+                        continue
+                    informative += 1
+                    equal += parent == other
+            value = equal / informative if informative else 1.0
+            object.__setattr__(self, "_parent_similarity", value)
+        return value
 
     def parent_similarity_present_only(self) -> float:
         """Parent similarity restricted to trees containing the node."""
         parent_sets = [
             frozenset([view.parent_key]) if view.parent_key is not None else frozenset()
-            for view in self.present_views()
+            for view in self._present
         ]
         return pairwise_mean_jaccard(parent_sets)
 
     def same_parent_everywhere(self) -> bool:
-        parents = {view.parent_key for view in self.present_views()}
+        parents = {view.parent_key for view in self._present}
         return len(parents) == 1
 
     # -- dependency chains -------------------------------------------------------
 
     def chains(self) -> List[Tuple[str, ...]]:
-        return [view.chain for view in self.present_views()]
+        return [view.chain for view in self._present]
 
     def same_chain_everywhere(self) -> bool:
         """Identical dependency chain in every tree containing the node."""
@@ -172,6 +206,14 @@ class PageComparison:
             raise AnalysisError(f"trees belong to different pages: {sorted(pages)}")
         self.page_url = next(iter(pages))
         self._nodes: Dict[str, NodeComparison] = self._align()
+        #: ``include_static_leaves`` → the page's horizontal pass, kept by
+        #: :meth:`HorizontalAnalyzer.analyze_page` so every caller shares it.
+        self.horizontal_passes: Dict[bool, "HorizontalResult"] = {}
+
+    def __getstate__(self) -> dict:
+        # Kept passes are recomputable: a pickle carries the aligned trees
+        # only, whatever was analyzed before.
+        return {**self.__dict__, "horizontal_passes": {}}
 
     # -- alignment -----------------------------------------------------------
 

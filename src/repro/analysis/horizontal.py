@@ -16,7 +16,7 @@ differ, under-reporting the Web's dynamics.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Set
+from typing import Iterator, List, Optional, Set, Tuple
 
 from ..web.resources import ResourceType
 from .comparison import NodeComparison, PageComparison
@@ -44,7 +44,7 @@ class HorizontalResult:
 
     page_url: str
     depth_one_similarity: float
-    records: List[ChildSimilarityRecord]
+    records: Tuple[ChildSimilarityRecord, ...]
 
     def similarities(self) -> List[float]:
         return [record.similarity for record in self.records]
@@ -67,7 +67,18 @@ class HorizontalAnalyzer:
     # -- per page ------------------------------------------------------------
 
     def analyze_page(self, comparison: PageComparison) -> HorizontalResult:
-        """The horizontal pass for one page's aligned trees."""
+        """The horizontal pass for one page's aligned trees.
+
+        The pass runs once per page and setting; the comparison keeps the
+        result, so every later caller gets the same one.
+        """
+        passes = comparison.horizontal_passes
+        result = passes.get(self.include_static_leaves)
+        if result is None:
+            result = passes[self.include_static_leaves] = self._pass(comparison)
+        return result
+
+    def _pass(self, comparison: PageComparison) -> HorizontalResult:
         depth_one = self._depth_one_similarity(comparison)
         records: List[ChildSimilarityRecord] = []
         visited: Set[str] = set()
@@ -85,7 +96,7 @@ class HorizontalAnalyzer:
                 visited.add(node.key)
                 if not self.include_static_leaves and not exclude_static_leaf(node):
                     continue
-                if not self._has_any_child(node):
+                if not node.has_children:
                     continue
                 record = self._record_for(comparison, node)
                 records.append(record)
@@ -97,7 +108,7 @@ class HorizontalAnalyzer:
         return HorizontalResult(
             page_url=comparison.page_url,
             depth_one_similarity=depth_one,
-            records=records,
+            records=tuple(records),
         )
 
     # -- across the dataset ----------------------------------------------------
@@ -118,10 +129,6 @@ class HorizontalAnalyzer:
         keys_filter = None if self.include_static_leaves else exclude_static_leaf
         result = comparison.depth_similarity(1, keys_filter=keys_filter)
         return result if result is not None else 1.0
-
-    @staticmethod
-    def _has_any_child(node: NodeComparison) -> bool:
-        return any(view.child_count > 0 for view in node.present_views())
 
     @staticmethod
     def _record_for(

@@ -103,7 +103,7 @@ class PartyAnalyzer:
             elif node.min_depth > deeper_than:
                 deeper_presence.append(node.presence_count)
             views = node.present_views()
-            if any(view.child_count > 0 for view in views):
+            if node.has_children:
                 child_similarities.append(node.child_similarity())
             children_counts.append(sum(view.child_count for view in views) / len(views))
         for entry in dataset:

@@ -61,8 +61,7 @@ class TrackingAnalyzer:
                 total_nodes += 1
                 is_tracking = node.is_tracking
                 views = node.present_views()
-                has_children = any(view.child_count > 0 for view in views)
-                child_sim = node.child_similarity() if has_children else None
+                child_sim = node.child_similarity() if node.has_children else None
                 parent_sim = node.parent_similarity()
                 mean_children = sum(view.child_count for view in views) / len(views)
                 if is_tracking:

@@ -12,6 +12,7 @@ remembers each verdict.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 from urllib.parse import urlsplit
 
@@ -31,7 +32,13 @@ class MatchContext:
     def page_host(self) -> Optional[str]:
         if self.page_url is None:
             return None
-        return (urlsplit(self.page_url).hostname or "").lower() or None
+        return _page_host(self.page_url)
+
+
+@lru_cache(maxsize=1 << 12)
+def _page_host(page_url: str) -> Optional[str]:
+    """Host of a page URL; a crawl visits few pages, and each is asked often."""
+    return (urlsplit(page_url).hostname or "").lower() or None
 
 
 @dataclass(frozen=True)

@@ -270,6 +270,14 @@ def _cmd_easylist(args: argparse.Namespace) -> int:
     return 0
 
 
+def positive_int(text: str) -> int:
+    """argparse type: an int of at least 1, else a usage error."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro", description="Web-measurement similarity reproduction."
@@ -279,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     crawl = sub.add_parser("crawl", help="run a measurement into a SQLite db")
     crawl.add_argument("--db", required=True)
     crawl.add_argument("--seed", type=int, default=2023)
-    crawl.add_argument("--sites-per-bucket", type=int, default=2)
+    crawl.add_argument("--sites-per-bucket", type=positive_int, default=2)
     crawl.add_argument("--pages-per-site", type=int, default=4)
     crawl.add_argument(
         "--jobs",

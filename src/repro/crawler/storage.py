@@ -12,6 +12,7 @@ import heapq
 import json
 import os
 import sqlite3
+from functools import lru_cache
 from itertools import chain
 from operator import itemgetter
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
@@ -180,7 +181,10 @@ class MeasurementStore:
 
     def _check_schema_version(self) -> None:
         """Raise unless the store is stamped with this code's schema."""
-        found = self.schema_version
+        try:
+            found = self.schema_version
+        except sqlite3.DatabaseError as exc:
+            raise StorageError(f"{self.path} is not a measurement store: {exc}") from exc
         if found == SCHEMA_VERSION:
             return
         detail = "unversioned (pre-stamp) store" if found == 0 else f"version {found}"
@@ -762,6 +766,11 @@ def _visit_from_row(row: Tuple) -> VisitRecord:
     )
 
 
+#: A page's visits share most call stacks, and a parsed stack is frozen,
+#: so each distinct serialized stack is parsed once and the result shared.
+_parse_call_stack = lru_cache(maxsize=1 << 12)(CallStack.parse)
+
+
 def _request_from_row(row: Tuple) -> RequestRecord:
     return RequestRecord(
         visit_id=row[0],
@@ -772,7 +781,7 @@ def _request_from_row(row: Tuple) -> RequestRecord:
         frame_id=row[5],
         parent_frame_id=row[6],
         timestamp=row[7],
-        call_stack=CallStack.parse(row[8]),
+        call_stack=_parse_call_stack(row[8]),
         redirect_from=row[9],
         during_interaction=bool(row[10]),
     )

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from ..cli import positive_int
 from ..devtools.clock import Clock, Stopwatch
 from ..obs import (
     NULL_OBS,
@@ -31,7 +32,7 @@ def main(argv=None, clock: "Clock" = None) -> int:
         description="Reproduce the paper's tables and figures.",
     )
     parser.add_argument("--seed", type=int, default=2023)
-    parser.add_argument("--sites-per-bucket", type=int, default=3)
+    parser.add_argument("--sites-per-bucket", type=positive_int, default=3)
     parser.add_argument("--pages-per-site", type=int, default=4)
     parser.add_argument(
         "--workers",

@@ -28,6 +28,7 @@ class DependencyTree:
         self.page_url = page_url
         self.profile_name = profile_name
         self.visit_id = visit_id
+        self._page_host = _host_of(page_url)
         self.root = TreeNode(key=page_url, resource_type=ResourceType.MAIN_FRAME)
         self._nodes: Dict[str, TreeNode] = {page_url: self.root}
         self._index: Optional[Tuple[List[TreeNode], Dict[int, List[TreeNode]]]] = None
@@ -55,7 +56,7 @@ class DependencyTree:
                 key=key,
                 resource_type=resource_type,
                 parent=parent,
-                is_third_party=not psl.same_site(_host_of(key), _host_of(self.page_url)),
+                is_third_party=not psl.same_site(_host_of(key), self._page_host),
             )
             node.during_interaction = during_interaction
             self._nodes[key] = node

@@ -11,7 +11,7 @@ the whole-tree alternatives:
   depth d weighs ``decay**(d-1)``, emphasizing the stable upper levels;
 * :func:`edit_distance` — a top-down ordered-insensitive tree edit
   distance (insert/delete cost 1, matching by node key), computed by
-  recursive set alignment.  Exact for the key-identified trees used here.
+  top-down set alignment.  Exact for the key-identified trees used here.
 """
 
 from __future__ import annotations
@@ -63,24 +63,23 @@ def edit_distance(tree_a: DependencyTree, tree_b: DependencyTree) -> int:
 
     Children are treated as sets (sibling order carries no meaning in a
     dependency tree): nodes present under the same parent key in both
-    trees match and recurse; unmatched subtrees cost their size.
+    trees match and are compared in turn; unmatched subtrees cost their
+    size.  Matched pairs wait on an explicit stack, so redirect chains
+    deeper than the interpreter's recursion limit compare like any tree.
     """
-    return _edit(tree_a.root, tree_b.root)
-
-
-def _edit(node_a, node_b) -> int:
-    children_a: Dict[str, object] = {child.key: child for child in node_a.children}
-    children_b: Dict[str, object] = {child.key: child for child in node_b.children}
     cost = 0
-    for key in set(children_a) | set(children_b):
-        child_a = children_a.get(key)
-        child_b = children_b.get(key)
-        if child_a is not None and child_b is not None:
-            cost += _edit(child_a, child_b)
-        elif child_a is not None:
-            cost += _subtree_size(child_a)
-        else:
-            cost += _subtree_size(child_b)
+    pairs = [(tree_a.root, tree_b.root)]
+    while pairs:
+        node_a, node_b = pairs.pop()
+        for child_a in node_a.children:
+            child_b = node_b.child(child_a.key)
+            if child_b is None:
+                cost += _subtree_size(child_a)
+            else:
+                pairs.append((child_a, child_b))
+        for child_b in node_b.children:
+            if node_a.child(child_b.key) is None:
+                cost += _subtree_size(child_b)
     return cost
 
 

@@ -62,7 +62,7 @@ class TestRecursion:
             }
         )
         result = HorizontalAnalyzer().analyze_page(comp)
-        assert result.records == []
+        assert result.records == ()
 
     def test_childless_recurring_nodes_skipped(self):
         comp = comparison_with(
@@ -72,7 +72,7 @@ class TestRecursion:
             }
         )
         result = HorizontalAnalyzer().analyze_page(comp)
-        assert result.records == []
+        assert result.records == ()
 
     def test_no_duplicate_records_per_key(self):
         comp = comparison_with(self.structures())
@@ -102,6 +102,14 @@ class TestRecordContents:
         records = analyzer.all_records(dataset)
         assert records
         assert all(0.0 <= record.similarity <= 1.0 for record in records)
+
+    def test_kept_records_cannot_be_changed_by_callers(self, dataset):
+        analyzer = HorizontalAnalyzer()
+        expected = analyzer.all_records(dataset)
+        analyzer.all_records(dataset).clear()
+        assert analyzer.all_records(dataset) == expected
+        entry = next(iter(dataset))
+        assert isinstance(analyzer.analyze_page(entry.comparison).records, tuple)
 
 
 class TestPageChildSimilarity:

@@ -219,6 +219,12 @@ class TestMergeAndSnapshots:
         with pytest.raises(StorageError, match="read-only"):
             MeasurementStore.open_readonly(str(tmp_path))
 
+    def test_readonly_non_sqlite_file_rejected(self, tmp_path):
+        path = tmp_path / "notes.txt"
+        path.write_text("not a database\n")
+        with pytest.raises(StorageError, match="notes.txt is not a measurement store"):
+            MeasurementStore.open_readonly(str(path))
+
     def test_on_disk_store_uses_wal(self, tmp_path):
         with MeasurementStore(str(tmp_path / "db.sqlite")) as store:
             mode = store._conn.execute("PRAGMA journal_mode").fetchone()[0]

@@ -13,6 +13,16 @@ import repro
 from repro.cli import main
 
 
+def run_module(*args, cwd):
+    """Run ``python -m <args>`` against this checkout's ``repro``."""
+    env = dict(os.environ)
+    src = str(Path(repro.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", *args], capture_output=True, text=True, env=env, cwd=cwd
+    )
+
+
 @pytest.fixture(scope="module")
 def crawl_db(tmp_path_factory):
     db = tmp_path_factory.mktemp("cli") / "run.sqlite"
@@ -63,15 +73,8 @@ class TestAnalyze:
         # with a StorageError naming it, instead of creating an empty
         # store that then fails analysis with a misleading error.
         missing = tmp_path / "missing.sqlite"
-        env = dict(os.environ)
-        src = str(Path(repro.__file__).resolve().parent.parent)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        result = subprocess.run(
-            [sys.executable, "-m", "repro", "analyze", "--db", str(missing),
-             "--experiments", "table2"],
-            capture_output=True,
-            text=True,
-            env=env,
+        result = run_module(
+            "repro", "analyze", "--db", str(missing), "--experiments", "table2",
             cwd=tmp_path,
         )
         assert result.returncode != 0
@@ -80,6 +83,32 @@ class TestAnalyze:
         assert "AnalysisError" not in result.stderr
         assert not missing.exists()
         assert list(tmp_path.iterdir()) == []
+
+    def test_non_sqlite_db_is_a_storage_error(self, tmp_path):
+        text_file = tmp_path / "notes.txt"
+        text_file.write_text("not a database\n")
+        result = run_module(
+            "repro", "analyze", "--db", str(text_file), "--experiments", "table2",
+            cwd=tmp_path,
+        )
+        assert result.returncode != 0
+        last_line = result.stderr.strip().splitlines()[-1]
+        assert last_line.startswith("repro.errors.StorageError")
+        assert str(text_file) in last_line
+        assert text_file.read_text() == "not a database\n"
+
+
+@pytest.mark.parametrize(
+    "command", [["repro", "crawl", "--db", "run.sqlite"], ["repro.experiments"]]
+)
+@pytest.mark.parametrize("count", ["0", "-2"])
+def test_sites_per_bucket_below_one_is_a_usage_error(tmp_path, command, count):
+    result = run_module(*command, "--sites-per-bucket", count, cwd=tmp_path)
+    assert result.returncode == 2
+    assert result.stderr.startswith("usage:")
+    assert f"--sites-per-bucket: must be at least 1, got {count}" in result.stderr
+    assert "Traceback" not in result.stderr
+    assert list(tmp_path.iterdir()) == []
 
 
 class TestExport:

@@ -11,12 +11,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.comparison import NodeComparison, NodeView
-from repro.analysis.jaccard import jaccard
+from repro.analysis.comparison import NodeComparison, NodeView, PageComparison
+from repro.analysis.horizontal import HorizontalAnalyzer, page_child_similarity
+from repro.analysis.jaccard import jaccard, pairwise_mean_jaccard
 from repro.browser.engine import BrowserEngine
 from repro.browser.profile import PAPER_PROFILES, PROFILE_SIM1
+from repro.errors import AnalysisError
 from repro.trees.builder import build_tree
 from repro.trees.tree import DependencyTree
+from repro.trees.treedist import edit_distance
 from repro.web.blueprint import InclusionRule, InitiatorKind, PageBlueprint, ResourceSlot
 from repro.web.resources import ResourceType
 from repro.web.url import URL
@@ -252,3 +255,102 @@ def test_min_depth_matches_present_views(views):
     else:
         with pytest.raises(ValueError):
             node.min_depth
+
+
+@given(_views)
+@settings(max_examples=100, deadline=None)
+def test_all_absent_node_constructs_and_fails_lazily(views):
+    node = NodeComparison(key="https://x.com/", views=(None,) * len(views))
+    assert node.presence_count == 0
+    assert node.present_views() == ()
+    assert not node.is_tracking and not node.has_children
+    with pytest.raises(AnalysisError):
+        node.any_view
+
+
+# -- memoized comparison measures against fresh computation ------------------
+
+_PAGE = "https://site.com/"
+
+#: Scripts can load children; images cannot (the horizontal default skips
+#: them at depth one).
+_PAGE_KEYS = [f"https://site.com/{i}.js" for i in range(4)] + [
+    f"https://cdn.net/{i}.png" for i in range(3)
+]
+
+
+def _grown_tree(profile, steps):
+    tree = DependencyTree(_PAGE, profile, 1)
+    placed = [tree.root]
+    for request_id, (key_index, parent_choice) in enumerate(steps, start=1):
+        key = _PAGE_KEYS[key_index]
+        rtype = ResourceType.SCRIPT if key.endswith(".js") else ResourceType.IMAGE
+        node = tree.attach(key, rtype, placed[parent_choice % len(placed)], key, request_id)
+        if node not in placed and rtype.can_load_children:
+            placed.append(node)
+    return tree
+
+
+#: (key index, parent choice) per attach.
+_grow_steps = st.lists(
+    st.tuples(st.integers(0, len(_PAGE_KEYS) - 1), st.integers(0, 99)), max_size=12
+)
+
+_page_trees = st.lists(_grow_steps, min_size=2, max_size=5).map(
+    lambda per_profile: {
+        f"P{index}": _grown_tree(f"P{index}", steps)
+        for index, steps in enumerate(per_profile)
+    }
+)
+
+_CALLS = ("child", "parent", "page_child", "pass_default", "pass_static")
+
+
+def _check_call(call, comparison, trees):
+    """One memoized measure of ``comparison`` against a fresh computation."""
+    fresh = PageComparison(trees)
+    if call == "child":
+        for node in comparison.nodes():
+            child_sets = [view.children for view in node.views if view is not None]
+            assert node.child_similarity() == pairwise_mean_jaccard(child_sets)
+    elif call == "parent":
+        for node in comparison.nodes():
+            assert node.parent_similarity() == _set_parent_similarity(node.views)
+    elif call == "page_child":
+        assert page_child_similarity(comparison) == page_child_similarity(fresh)
+    else:
+        analyzer = HorizontalAnalyzer(include_static_leaves=call == "pass_static")
+        result = analyzer.analyze_page(comparison)
+        assert isinstance(result.records, tuple)
+        assert result == analyzer.analyze_page(fresh)
+
+
+@given(_page_trees, st.lists(st.sampled_from(_CALLS), max_size=10))
+@settings(max_examples=60, deadline=None)
+def test_memoized_measures_equal_fresh_in_any_call_order(trees, calls):
+    comparison = PageComparison(trees)
+    for call in [*calls, *_CALLS]:
+        _check_call(call, comparison, trees)
+
+
+# -- the iterative edit distance against its recursive definition ------------
+
+
+def _recursive_edit(node_a, node_b):
+    children_a = {child.key: child for child in node_a.children}
+    children_b = {child.key: child for child in node_b.children}
+    cost = 0
+    for key in set(children_a) | set(children_b):
+        child_a, child_b = children_a.get(key), children_b.get(key)
+        if child_a is not None and child_b is not None:
+            cost += _recursive_edit(child_a, child_b)
+        else:
+            cost += len(_reference_preorder(child_a or child_b))
+    return cost
+
+
+@given(_grow_steps, _grow_steps)
+@settings(max_examples=150, deadline=None)
+def test_edit_distance_matches_recursive_definition(steps_a, steps_b):
+    tree_a, tree_b = _grown_tree("A", steps_a), _grown_tree("B", steps_b)
+    assert edit_distance(tree_a, tree_b) == _recursive_edit(tree_a.root, tree_b.root)

@@ -7,6 +7,7 @@ from repro.browser.callstack import CallStack, EMPTY_STACK
 from repro.browser.network import RequestRecord, VisitRecord
 from repro.errors import TreeConstructionError
 from repro.trees.builder import TreeBuilder, build_tree
+from repro.trees.treedist import edit_distance
 from repro.web.resources import ResourceType
 
 PAGE = "https://site.com/"
@@ -222,16 +223,20 @@ class TestDeepRedirectChains:
 
     HOPS = 5000
 
-    def test_deep_chain_measures_and_compares(self):
+    @staticmethod
+    def chain_tree(hops):
         records = [main_request()] + [
             request(
                 hop + 2,
                 f"https://r{hop % 7}.com/hop/{hop}",
                 redirect_from=hop + 1 if hop else None,
             )
-            for hop in range(self.HOPS)
+            for hop in range(hops)
         ]
-        tree = TreeBuilder().build(make_visit(), records)
+        return TreeBuilder().build(make_visit(), records)
+
+    def test_deep_chain_measures_and_compares(self):
+        tree = self.chain_tree(self.HOPS)
         assert tree.max_depth == self.HOPS
         assert len(tree.nodes_at_depth(self.HOPS)) == 1
         assert tree.breadth == 1
@@ -242,3 +247,9 @@ class TestDeepRedirectChains:
         deepest = comparison.node(f"https://r{(self.HOPS - 1) % 7}.com/hop/{self.HOPS - 1}")
         assert deepest.min_depth == self.HOPS
         assert deepest.parent_similarity() == 1.0
+
+    def test_deep_chain_edit_distance(self):
+        full, shorter = self.chain_tree(self.HOPS), self.chain_tree(self.HOPS - 10)
+        assert edit_distance(full, full) == 0
+        assert edit_distance(full, shorter) == 10
+        assert edit_distance(shorter, full) == 10
