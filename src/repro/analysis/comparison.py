@@ -222,16 +222,22 @@ class PageComparison:
         profile_count = len(self.profiles)
         for index, profile in enumerate(self.profiles):
             tree = self.trees[profile]
+            # Preorder visits a parent before its children, so each chain
+            # is its parent's chain plus one key (keys are unique per tree).
+            chains = {tree.root.key: (tree.root.key,)}
             for node in tree.nodes():
+                parent_key = node.parent.key
+                chain = chains[parent_key] + (node.key,)
+                chains[node.key] = chain
                 slot = views_by_key.setdefault(node.key, [None] * profile_count)
                 slot[index] = NodeView(
                     depth=node.depth,
-                    parent_key=node.parent_key(),
-                    children=frozenset(node.child_keys()),
+                    parent_key=parent_key,
+                    children=frozenset(node._children),
                     resource_type=node.resource_type,
                     is_third_party=node.is_third_party,
                     is_tracking=node.is_tracking,
-                    chain=node.chain(),
+                    chain=chain,
                     during_interaction=node.during_interaction,
                 )
         return {

@@ -8,14 +8,17 @@ objects (pages crawled successfully by all profiles) plus site metadata
 
 from __future__ import annotations
 
+import gc
 import os
 import tempfile
 from concurrent.futures import ProcessPoolExecutor, as_completed
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence
+from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence
 
 from ..blocklist.matcher import FilterList
-from ..crawler.storage import MeasurementStore
+from ..browser.network import RequestRecord
+from ..crawler.storage import MeasurementStore, _request_from_row
 from ..errors import AnalysisError, InvalidURLError
 from ..obs import NULL_OBS, ObsContext
 from ..trees.builder import TreeBuilder
@@ -57,6 +60,7 @@ class AnalysisDataset:
         jobs: int = 1,
         obs: Optional[ObsContext] = None,
         include_partial: bool = False,
+        requests: Optional[Callable[[int], List[RequestRecord]]] = None,
     ) -> "AnalysisDataset":
         """Build trees for every vetted page and align them.
 
@@ -71,6 +75,11 @@ class AnalysisDataset:
         identical to the serial build.  Pool size is clamped so every
         worker gets at least :data:`_MIN_PAGES_PER_JOB` pages; datasets
         too small to amortize a fork fall back to the serial path.
+
+        ``requests(visit_id)`` supplies a visit's request records to the
+        serial build (default: :meth:`MeasurementStore.requests_for_visit`);
+        :meth:`from_bundle` passes the archived rows.  Pool workers always
+        read their store snapshot.
         """
         obs = obs if obs is not None else NULL_OBS
         profile_names = list(profiles) if profiles is not None else store.profiles()
@@ -103,6 +112,7 @@ class AnalysisDataset:
                     require_all,
                     obs,
                     include_partial=include_partial,
+                    requests=requests,
                 )
             span.set("pages", len(pages))
             span.set("entries", len(entries))
@@ -122,21 +132,26 @@ class AnalysisDataset:
         jobs: int = 1,
         obs: Optional[ObsContext] = None,
         include_partial: bool = False,
+        store: Optional[MeasurementStore] = None,
     ) -> "AnalysisDataset":
         """Build the dataset from a recorded crawl bundle (no live crawl).
 
-        ``bundle`` is a :class:`~repro.bundle.Bundle` or a path to one.
-        The store is replayed in memory and, unless a ``filter_list`` is
-        passed, the classification runs on the *archived* filter list —
-        the whole point of bundling is that later analyses see exactly
-        the artifact the crawl saw.
+        ``bundle`` is a :class:`~repro.bundle.Bundle` or a path to one;
+        ``store`` is its replayed store when the caller already holds one
+        (default: replay it here).  Vetting reads the store, but the trees
+        are built from the archived request rows, so ``http_requests``
+        never enters SQLite unless a later read asks for it.  Unless a
+        ``filter_list`` is passed, the classification runs on the
+        *archived* filter list — the whole point of bundling is that later
+        analyses see exactly the artifact the crawl saw.
         """
         from ..bundle import Bundle  # deferred: keeps repro.analysis import-light
 
         if not isinstance(bundle, Bundle):
             bundle = Bundle.open(bundle)
         obs = obs if obs is not None else NULL_OBS
-        store = bundle.replay(obs=obs)
+        if store is None:
+            store = bundle.replay(obs=obs)
         if filter_list is None:
             filter_list = FilterList.from_text(bundle.filter_list_text())
         return cls.from_store(
@@ -147,6 +162,7 @@ class AnalysisDataset:
             jobs=jobs,
             obs=obs,
             include_partial=include_partial,
+            requests=_ArchivedRequests(bundle),
         )
 
     @classmethod
@@ -199,33 +215,77 @@ def _build_entries(
     require_all: bool,
     obs: ObsContext = NULL_OBS,
     include_partial: bool = False,
+    requests: Optional[Callable[[int], List[RequestRecord]]] = None,
 ) -> List[PageEntry]:
     """The per-page build loop, shared by the serial path and pool workers."""
     builder = TreeBuilder(filter_list=filter_list, obs=obs)
+    requests_for = requests if requests is not None else store.requests_for_visit
     entries: List[PageEntry] = []
-    for page_url in pages:
-        trees = builder.build_for_page(
-            store, page_url, profile_names, include_partial=include_partial
-        )
-        if require_all and len(trees) != len(profile_names):
-            continue
-        if not trees:
-            continue
-        visit = next(
-            iter(
-                store.successful_visits_for_page(
-                    page_url, profile_names, include_partial=include_partial
-                ).values()
+    with _collector_paused():
+        for page_url in pages:
+            visits = store.successful_visits_for_page(
+                page_url, profile_names, include_partial=include_partial
             )
-        )
-        entries.append(
-            PageEntry(
-                comparison=PageComparison(trees),
-                site=visit.site,
-                site_rank=visit.site_rank,
+            if not visits or (require_all and len(visits) != len(profile_names)):
+                continue
+            trees = {
+                profile: builder.build(
+                    visit,
+                    requests_for(visit.visit_id),
+                    allow_partial=include_partial,
+                )
+                for profile, visit in visits.items()
+            }
+            visit = next(iter(visits.values()))
+            entries.append(
+                PageEntry(
+                    comparison=PageComparison(trees),
+                    site=visit.site,
+                    site_rank=visit.site_rank,
+                )
             )
-        )
     return entries
+
+
+@contextmanager
+def _collector_paused() -> Iterator[None]:
+    """Pause the cyclic garbage collector for a bulk build.
+
+    Everything a dataset build allocates survives it, so each automatic
+    full collection would rescan the growing dataset and free nothing.
+    The previous state comes back on exit, also when the body raises.
+    Nothing is ``gc.freeze()``-d: trees are cyclic through ``parent``
+    pointers, so frozen trees could never be freed again.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+class _ArchivedRequests:
+    """A bundle's request rows, served per visit to the tree build.
+
+    The ``http_requests`` member is decoded once, on the first call, and
+    its rows grouped by ``visit_id`` (physical order is not relied on).
+    Each call pops its visit's group and converts only those rows, so no
+    visit's records exist before its tree is built and every group is
+    released once used; each visit is built once per dataset.
+    """
+
+    def __init__(self, bundle) -> None:
+        self._bundle = bundle
+        self._groups: Optional[Dict[int, List[list]]] = None
+
+    def __call__(self, visit_id: int) -> List[RequestRecord]:
+        if self._groups is None:
+            self._groups = {}
+            for row in self._bundle.table_rows("http_requests"):
+                self._groups.setdefault(row[0], []).append(row)
+        return [_request_from_row(row) for row in self._groups.pop(visit_id, ())]
 
 
 @dataclass

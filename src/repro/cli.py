@@ -13,6 +13,11 @@ trees from it and prints any subset of the paper's tables/figures;
 ``inspect`` simulates a single page visit and renders its dependency tree.
 The ``--seed`` must match between crawl and analyze so the synthetic
 EasyList and site ranks regenerate identically.
+
+Exit status 2 means a usage error or bad input.  Bad input is any
+:class:`~repro.errors.ReproError` — e.g. a ``--db`` that is not a
+measurement store, or one that already holds this crawl — and prints one
+``error: …`` line to stderr, never a traceback.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ from .blocklist import build_filter_list, generate_easylist
 from .browser import BrowserEngine, PAPER_PROFILES, profile_by_name
 from .bundle import Bundle
 from .crawler import Commander, MeasurementStore, RetryPolicy, sample_paper_buckets
+from .errors import ReproError
 from . import export as export_mod
 from .experiments import ALL_EXPERIMENTS, ExperimentConfig
 from .obs import (
@@ -47,7 +53,9 @@ class AnalysisContext:
     Experiments that re-crawl (replication, timeout ablation, study
     comparability) read ``config``/``ranks``; both are reconstructed from
     the seed and the stored visits so every experiment runs on a stored
-    db, not just the dataset-only ones.
+    db, not just the dataset-only ones.  ``bundle`` is the recorded crawl
+    ``store`` was replayed from, if any; its trees are then built from the
+    archived rows (:meth:`AnalysisDataset.from_bundle`).
     """
 
     def __init__(
@@ -57,6 +65,7 @@ class AnalysisContext:
         jobs: int = 1,
         obs: ObsContext = NULL_OBS,
         include_partial: bool = False,
+        bundle: Optional[Bundle] = None,
     ) -> None:
         self.store = store
         self.generator = WebGenerator(seed)
@@ -67,12 +76,16 @@ class AnalysisContext:
         )
         with obs.tracer.span("filter-list", key="filter-list"):
             self.filter_list = build_filter_list(self.generator.ecosystem)
-        self.dataset = AnalysisDataset.from_store(
-            store,
+        build = dict(
             filter_list=self.filter_list,
             jobs=jobs,
             obs=obs,
             include_partial=include_partial,
+        )
+        self.dataset = (
+            AnalysisDataset.from_store(store, **build)
+            if bundle is None
+            else AnalysisDataset.from_bundle(bundle, store=store, **build)
         )
         self.summary = None
 
@@ -119,18 +132,18 @@ def _cmd_crawl(args: argparse.Namespace) -> int:
             on_alert=lambda alert: print(f"! {alert.format()}"),
         )
         obs.attach_monitor(monitor)
-    store = MeasurementStore(args.db, obs=obs)
-    commander = Commander(
-        generator,
-        store,
-        max_pages_per_site=args.pages_per_site,
-        workers=args.jobs,
-        obs=obs,
-        retry_policy=RetryPolicy.with_retries(args.retries),
-        salvage_partial=args.salvage_partial,
-    )
-    ranks = sample_paper_buckets(args.seed, per_bucket=args.sites_per_bucket)
-    summary = commander.run(ranks)
+    with MeasurementStore(args.db, obs=obs) as store:
+        commander = Commander(
+            generator,
+            store,
+            max_pages_per_site=args.pages_per_site,
+            workers=args.jobs,
+            obs=obs,
+            retry_policy=RetryPolicy.with_retries(args.retries),
+            salvage_partial=args.salvage_partial,
+        )
+        ranks = sample_paper_buckets(args.seed, per_bucket=args.sites_per_bucket)
+        summary = commander.run(ranks)
     print(
         f"crawled {summary.sites_crawled} sites, {summary.pages_discovered} pages, "
         f"{summary.total_visits} visits -> {args.db}"
@@ -144,7 +157,6 @@ def _cmd_crawl(args: argparse.Namespace) -> int:
             line += f" recovered: {summary.recovered_count(profile.name)}"
         print(line)
     _write_obs(obs, args)
-    store.close()
     if monitor is not None:
         print(render_alerts(monitor.alerts))
         if args.monitor_gate and monitor.has_critical:
@@ -153,7 +165,7 @@ def _cmd_crawl(args: argparse.Namespace) -> int:
 
 
 def _open_source(args: argparse.Namespace, obs: ObsContext):
-    """Resolve ``--db``/``--from-bundle`` into ``(store, seed)``.
+    """Resolve ``--db``/``--from-bundle`` into ``(store, seed, bundle)``.
 
     A bundle replays into an in-memory store and supplies its own seed;
     passing a conflicting ``--seed`` is an error rather than a silently
@@ -168,17 +180,16 @@ def _open_source(args: argparse.Namespace, obs: ObsContext):
                 f"--seed {args.seed} contradicts the bundle's recorded "
                 f"seed {bundle.seed}"
             )
-        return bundle.replay(obs=obs), bundle.seed
+        return bundle.replay(obs=obs), bundle.seed, bundle
     if not args.db:
         raise SystemExit("one of --db or --from-bundle is required")
-    return MeasurementStore(args.db, readonly=True, obs=obs), (
-        args.seed if args.seed is not None else 2023
-    )
+    seed = args.seed if args.seed is not None else 2023
+    return MeasurementStore(args.db, readonly=True, obs=obs), seed, None
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     obs = _obs_for(args)
-    store, seed = _open_source(args, obs)
+    store, seed, bundle = _open_source(args, obs)
     try:
         ctx = AnalysisContext(
             store,
@@ -186,6 +197,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             jobs=args.jobs,
             obs=obs,
             include_partial=args.include_partial,
+            bundle=bundle,
         )
         if not len(ctx.dataset):
             print("no pages were crawled by all profiles; nothing to analyze")
@@ -216,7 +228,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_export(args: argparse.Namespace) -> int:
-    store, seed = _open_source(args, NULL_OBS)
+    store, seed, bundle = _open_source(args, NULL_OBS)
     try:
         if args.what == "visits":
             rows = export_mod.export_visits_csv(store, args.out)
@@ -228,7 +240,7 @@ def _cmd_export(args: argparse.Namespace) -> int:
             rows = exporter(store, args.out, include_partial=args.include_partial)
         else:
             ctx = AnalysisContext(
-                store, seed=seed, include_partial=args.include_partial
+                store, seed=seed, include_partial=args.include_partial, bundle=bundle
             )
             if args.what == "trees":
                 rows = export_mod.export_trees_jsonl(ctx.dataset, args.out)
@@ -403,4 +415,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ReproError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2

@@ -11,11 +11,21 @@ from __future__ import annotations
 import heapq
 import json
 import os
+import re
 import sqlite3
 from functools import lru_cache
 from itertools import chain
 from operator import itemgetter
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 from urllib.parse import quote as _uri_quote
 
 from ..browser.callstack import CallStack
@@ -112,6 +122,8 @@ _TABLES: Tuple[str, ...] = (
     "http_redirects",
     "javascript_cookies",
 )
+#: A table name as a whole word of an SQL statement.
+_TABLE_NAME_RE = re.compile(r"\b(" + "|".join(_TABLES) + r")\b")
 
 
 class MeasurementStore:
@@ -133,34 +145,45 @@ class MeasurementStore:
         self.path = path
         self.readonly = readonly
         self.obs = obs if obs is not None else NULL_OBS
+        #: Table → loader of its rows, filled on first use (:meth:`defer_table`).
+        self._pending: Dict[str, Callable[[], Iterable[Sequence]]] = {}
         if readonly:
             if path == ":memory:":
                 raise StorageError("cannot open an in-memory store read-only")
             uri = f"file:{_uri_quote(os.path.abspath(path))}?mode=ro"
             try:
-                self._conn = sqlite3.connect(uri, uri=True)
+                self._db = sqlite3.connect(uri, uri=True)
             except sqlite3.OperationalError as exc:
                 raise StorageError(f"cannot open store {path} read-only: {exc}") from exc
             try:
                 self._check_schema_version()
             except StorageError:
-                self._conn.close()
+                self._db.close()
                 raise
         else:
-            self._conn = sqlite3.connect(path)
-            if path != ":memory:":
-                self._conn.execute("PRAGMA journal_mode=WAL")
-                self._conn.execute("PRAGMA synchronous=NORMAL")
-            self._conn.execute("PRAGMA cache_size=-65536")  # 64 MiB
-            self._conn.execute("PRAGMA temp_store=MEMORY")
-            self._conn.executescript(_SCHEMA)
+            try:
+                self._db = sqlite3.connect(path)
+            except sqlite3.Error as exc:
+                raise StorageError(f"cannot open store {path}: {exc}") from exc
+            try:
+                if path != ":memory:":
+                    self._db.execute("PRAGMA journal_mode=WAL")
+                    self._db.execute("PRAGMA synchronous=NORMAL")
+                self._db.execute("PRAGMA cache_size=-65536")  # 64 MiB
+                self._db.execute("PRAGMA temp_store=MEMORY")
+                self._db.executescript(_SCHEMA)
+            except sqlite3.DatabaseError as exc:
+                # The first statement is where SQLite reads the file: a
+                # text file or a foreign database fails here, not at connect.
+                self._db.close()
+                raise StorageError(f"cannot open store {path}: {exc}") from exc
             if self.schema_version == 0:
-                self._conn.execute(f"PRAGMA user_version = {SCHEMA_VERSION}")
+                self._db.execute(f"PRAGMA user_version = {SCHEMA_VERSION}")
             else:
                 try:
                     self._check_schema_version()
                 except StorageError:
-                    self._conn.close()
+                    self._db.close()
                     raise
 
     @classmethod
@@ -177,7 +200,47 @@ class MeasurementStore:
     @property
     def schema_version(self) -> int:
         """The store's stamped schema generation (``PRAGMA user_version``)."""
-        return self._conn.execute("PRAGMA user_version").fetchone()[0]
+        return self._execute("PRAGMA user_version").fetchone()[0]
+
+    @property
+    def _conn(self) -> sqlite3.Connection:
+        """The raw connection, with every deferred table filled first.
+
+        Writes and whole-store operations go through it, so they never
+        see a table that has not been filled yet; per-table reads go
+        through :meth:`_execute`, which fills only the tables they name.
+        """
+        if self._pending:
+            self._fill(_TABLES)
+        return self._db
+
+    def _execute(self, sql: str, params: Sequence = ()) -> sqlite3.Cursor:
+        """Run one statement, first filling the deferred tables it names."""
+        if self._pending:
+            self._fill(_TABLE_NAME_RE.findall(sql))
+        return self._db.execute(sql, params)
+
+    def defer_table(self, table: str, load: Callable[[], Iterable[Sequence]]) -> None:
+        """Fill the empty ``table`` from ``load()`` when a statement first names it.
+
+        Bundle replay defers every table, so rows that no read asks for
+        never enter SQLite; every read returns what it would have
+        returned had the rows been inserted up front.  A ``load`` that
+        raises leaves the table deferred, so the next read raises again.
+        """
+        self._require_table(table)
+        self._pending[table] = load
+
+    def _fill(self, tables: Iterable[str]) -> None:
+        for table in tables:
+            load = self._pending.pop(table, None)
+            if load is None:
+                continue
+            try:
+                self.insert_table_rows(table, load())
+            except BaseException:
+                self._pending[table] = load
+                raise
 
     def _check_schema_version(self) -> None:
         """Raise unless the store is stamped with this code's schema."""
@@ -194,7 +257,11 @@ class MeasurementStore:
         )
 
     def close(self) -> None:
-        self._conn.close()
+        try:
+            if self.path != ":memory:":
+                self._fill(_TABLES)  # the file outlives this handle
+        finally:
+            self._db.close()
 
     def __enter__(self) -> "MeasurementStore":
         return self
@@ -292,7 +359,7 @@ class MeasurementStore:
         with self._conn:
             for table in _TABLES:
                 streams = [
-                    other._conn.execute(f"SELECT * FROM {table} ORDER BY rowid")
+                    other._execute(f"SELECT * FROM {table} ORDER BY rowid")
                     for other in others
                 ]
                 rows = heapq.merge(*streams, key=itemgetter(0))
@@ -315,7 +382,7 @@ class MeasurementStore:
         """Insert one visit's rows (caller owns the transaction)."""
         visit = result.visit
         try:
-            self._conn.execute(
+            self._db.execute(
                 "INSERT INTO visits VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
                 (
                     visit.visit_id,
@@ -336,7 +403,7 @@ class MeasurementStore:
                 f"duplicate visit id {visit.visit_id} in visits: {exc}"
             ) from exc
         try:
-            self._conn.executemany(
+            self._db.executemany(
                 "INSERT INTO http_requests VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
                 [
                     (
@@ -360,7 +427,7 @@ class MeasurementStore:
                 f"visit {visit.visit_id}: integrity error in http_requests: {exc}"
             ) from exc
         try:
-            self._conn.executemany(
+            self._db.executemany(
                 "INSERT INTO http_responses VALUES (?, ?, ?, ?)",
                 [
                     (
@@ -377,7 +444,7 @@ class MeasurementStore:
                 f"visit {visit.visit_id}: integrity error in http_responses: {exc}"
             ) from exc
         try:
-            self._conn.executemany(
+            self._db.executemany(
                 "INSERT INTO http_redirects VALUES (?, ?, ?, ?, ?, ?)",
                 [
                     (
@@ -391,7 +458,7 @@ class MeasurementStore:
                     for red in result.redirects
                 ],
             )
-            self._conn.executemany(
+            self._db.executemany(
                 "INSERT INTO javascript_cookies VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)",
                 [
                     (
@@ -416,14 +483,14 @@ class MeasurementStore:
     # -- reads: visits -----------------------------------------------------
 
     def visit(self, visit_id: int) -> Optional[VisitRecord]:
-        row = self._conn.execute(
+        row = self._execute(
             "SELECT * FROM visits WHERE visit_id = ?", (visit_id,)
         ).fetchone()
         return _visit_from_row(row) if row else None
 
     def visits_for_page(self, page_url: str) -> List[VisitRecord]:
         """All visits (any profile, any outcome) to ``page_url``."""
-        rows = self._conn.execute(
+        rows = self._execute(
             "SELECT * FROM visits WHERE page_url = ? ORDER BY visit_id", (page_url,)
         ).fetchall()
         return [_visit_from_row(row) for row in rows]
@@ -436,11 +503,11 @@ class MeasurementStore:
             params.append(profile)
         if success_only:
             query += " AND success = 1"
-        return self._conn.execute(query, params).fetchone()[0]
+        return self._execute(query, params).fetchone()[0]
 
     def pages_per_site_cap(self) -> int:
         """The crawl's pages-per-site cap, inferred from the densest site."""
-        row = self._conn.execute(
+        row = self._execute(
             "SELECT COUNT(DISTINCT page_url) FROM visits "
             "GROUP BY site ORDER BY COUNT(DISTINCT page_url) DESC LIMIT 1"
         ).fetchone()
@@ -453,7 +520,7 @@ class MeasurementStore:
         rebuild the Table-1-style breakdown from a stored crawl, without
         needing the live :class:`~repro.crawler.commander.CrawlSummary`.
         """
-        rows = self._conn.execute(
+        rows = self._execute(
             """
             SELECT profile, success, failure_reason, COUNT(*)
             FROM visits
@@ -464,7 +531,7 @@ class MeasurementStore:
         return [(row[0], bool(row[1]), row[2], row[3]) for row in rows]
 
     def profiles(self) -> List[str]:
-        rows = self._conn.execute("SELECT DISTINCT profile FROM visits ORDER BY profile")
+        rows = self._execute("SELECT DISTINCT profile FROM visits ORDER BY profile")
         return [row[0] for row in rows]
 
     def profiles_in_crawl_order(self) -> List[str]:
@@ -475,21 +542,21 @@ class MeasurementStore:
         order — which a bundle must archive, because re-running the crawl
         with profiles in any other order would re-deal every visit id.
         """
-        rows = self._conn.execute(
+        rows = self._execute(
             "SELECT profile FROM visits GROUP BY profile ORDER BY MIN(visit_id)"
         )
         return [row[0] for row in rows]
 
     def pages(self) -> List[str]:
-        rows = self._conn.execute("SELECT DISTINCT page_url FROM visits ORDER BY page_url")
+        rows = self._execute("SELECT DISTINCT page_url FROM visits ORDER BY page_url")
         return [row[0] for row in rows]
 
     def sites(self) -> List[str]:
-        rows = self._conn.execute("SELECT DISTINCT site FROM visits ORDER BY site")
+        rows = self._execute("SELECT DISTINCT site FROM visits ORDER BY site")
         return [row[0] for row in rows]
 
     def site_rank(self, site: str) -> Optional[int]:
-        row = self._conn.execute(
+        row = self._execute(
             "SELECT site_rank FROM visits WHERE site = ? LIMIT 1", (site,)
         ).fetchone()
         return row[0] if row else None
@@ -506,7 +573,7 @@ class MeasurementStore:
         """
         placeholders = ",".join("?" for _ in profiles)
         usable = "(success = 1 OR partial = 1)" if include_partial else "success = 1"
-        rows = self._conn.execute(
+        rows = self._execute(
             f"""
             SELECT page_url FROM visits
             WHERE {usable} AND profile IN ({placeholders})
@@ -534,7 +601,7 @@ class MeasurementStore:
         """
         usable = "(success = 1 OR partial = 1)" if include_partial else "success = 1"
         placeholders = ",".join("?" for _ in profiles)
-        rows = self._conn.execute(
+        rows = self._execute(
             f"""
             SELECT * FROM visits
             WHERE page_url = ? AND {usable} AND profile IN ({placeholders})
@@ -556,7 +623,7 @@ class MeasurementStore:
 
     def recovered_counts(self) -> Dict[str, int]:
         """Per-profile count of successful visits that needed a retry."""
-        rows = self._conn.execute(
+        rows = self._execute(
             """
             SELECT profile, COUNT(*) FROM visits
             WHERE success = 1 AND attempt > 1
@@ -569,14 +636,14 @@ class MeasurementStore:
     # -- reads: traffic ----------------------------------------------------
 
     def requests_for_visit(self, visit_id: int) -> List[RequestRecord]:
-        rows = self._conn.execute(
+        rows = self._execute(
             "SELECT * FROM http_requests WHERE visit_id = ? ORDER BY request_id",
             (visit_id,),
         ).fetchall()
         return [_request_from_row(row) for row in rows]
 
     def responses_for_visit(self, visit_id: int) -> List[ResponseRecord]:
-        rows = self._conn.execute(
+        rows = self._execute(
             "SELECT * FROM http_responses WHERE visit_id = ? ORDER BY request_id",
             (visit_id,),
         ).fetchall()
@@ -599,7 +666,7 @@ class MeasurementStore:
         request 1 to its terminal request and return that response.
         """
         request_id = self._terminal_request_id(visit_id, 1)
-        row = self._conn.execute(
+        row = self._execute(
             "SELECT * FROM http_responses WHERE visit_id = ? AND request_id = ?",
             (visit_id, request_id),
         ).fetchone()
@@ -615,7 +682,7 @@ class MeasurementStore:
     def _terminal_request_id(self, visit_id: int, request_id: int) -> int:
         """Follow redirect hops from ``request_id`` to the chain's end."""
         hops: Dict[int, int] = {}
-        for from_id, to_id in self._conn.execute(
+        for from_id, to_id in self._execute(
             "SELECT from_request_id, to_request_id FROM http_redirects WHERE visit_id = ?",
             (visit_id,),
         ):
@@ -629,7 +696,7 @@ class MeasurementStore:
         return request_id
 
     def redirects_for_visit(self, visit_id: int) -> List[RedirectRecord]:
-        rows = self._conn.execute(
+        rows = self._execute(
             "SELECT * FROM http_redirects WHERE visit_id = ? ORDER BY from_request_id",
             (visit_id,),
         ).fetchall()
@@ -650,7 +717,7 @@ class MeasurementStore:
         # pair can exist under two paths (or setters), so ordering must
         # run through the full identity or exports and bundle digests
         # would depend on physical row order.
-        rows = self._conn.execute(
+        rows = self._execute(
             "SELECT * FROM javascript_cookies WHERE visit_id = ? "
             "ORDER BY domain, name, path, set_by_url",
             (visit_id,),
@@ -671,7 +738,7 @@ class MeasurementStore:
         ]
 
     def request_count(self) -> int:
-        return self._conn.execute("SELECT COUNT(*) FROM http_requests").fetchone()[0]
+        return self._execute("SELECT COUNT(*) FROM http_requests").fetchone()[0]
 
     def iter_visits(self, success_only: bool = True) -> Iterator[VisitRecord]:
         """Stream all visits (ordered by id)."""
@@ -679,7 +746,7 @@ class MeasurementStore:
         if success_only:
             query += " WHERE success = 1"
         query += " ORDER BY visit_id"
-        for row in self._conn.execute(query):
+        for row in self._execute(query):
             yield _visit_from_row(row)
 
     # -- reads/writes: whole tables (bundle record/replay) -----------------
@@ -703,12 +770,12 @@ class MeasurementStore:
         bundle serialization and fidelity diffs both key on it.
         """
         self._require_table(table)
-        for row in self._conn.execute(f"SELECT * FROM {table} ORDER BY rowid"):
+        for row in self._execute(f"SELECT * FROM {table} ORDER BY rowid"):
             yield row
 
     def table_row_count(self, table: str) -> int:
         self._require_table(table)
-        return self._conn.execute(f"SELECT COUNT(*) FROM {table}").fetchone()[0]
+        return self._execute(f"SELECT COUNT(*) FROM {table}").fetchone()[0]
 
     def insert_table_rows(self, table: str, rows: Iterable[Sequence]) -> int:
         """Append raw rows to ``table`` in one transaction, preserving order.
@@ -719,35 +786,22 @@ class MeasurementStore:
         rows written.
         """
         self._require_table(table)
+        self._fill((table,))
         columns = len(
-            self._conn.execute(f"SELECT * FROM {table} LIMIT 0").description
+            self._db.execute(f"SELECT * FROM {table} LIMIT 0").description
         )
         placeholders = ", ".join("?" for _ in range(columns))
-        count = 0
-        with self._conn:
-            for chunk in _chunked_rows(rows, 1000):
-                try:
-                    self._conn.executemany(
-                        f"INSERT INTO {table} VALUES ({placeholders})", chunk
-                    )
-                except sqlite3.IntegrityError as exc:
-                    raise StorageError(
-                        f"replay collision in table {table}: {exc}"
-                    ) from exc
-                count += len(chunk)
-        return count
-
-
-def _chunked_rows(rows: Iterable[Sequence], size: int) -> Iterator[List[Sequence]]:
-    """Batch an iterable of rows into lists of at most ``size``."""
-    chunk: List[Sequence] = []
-    for row in rows:
-        chunk.append(row)
-        if len(chunk) >= size:
-            yield chunk
-            chunk = []
-    if chunk:
-        yield chunk
+        with self._db:
+            try:
+                # One streaming call: rows are consumed, and may be freed,
+                # one at a time.
+                return self._db.executemany(
+                    f"INSERT INTO {table} VALUES ({placeholders})", rows
+                ).rowcount
+            except sqlite3.IntegrityError as exc:
+                raise StorageError(
+                    f"replay collision in table {table}: {exc}"
+                ) from exc
 
 
 def _visit_from_row(row: Tuple) -> VisitRecord:

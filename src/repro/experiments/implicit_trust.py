@@ -13,7 +13,7 @@ from typing import List, Tuple
 
 from ..analysis.trust import ImplicitTrustAnalyzer, TrustReport
 from ..reporting import percent, render_kv
-from ..trees.graph import inclusion_graph, tracker_centrality
+from ..trees.graph import aggregate_inclusions
 from .runner import ExperimentContext
 
 
@@ -32,12 +32,12 @@ def run(ctx: ExperimentContext) -> TrustResult:
         for entry in ctx.dataset
         for tree in entry.comparison.tree_list()
     ]
-    graph = inclusion_graph(trees)
+    graph = aggregate_inclusions(trees)
     return TrustResult(
         report=report,
         graph_nodes=graph.number_of_nodes(),
         graph_edges=graph.number_of_edges(),
-        central_trackers=tracker_centrality(graph, top=5),
+        central_trackers=graph.tracker_centrality(top=5),
     )
 
 

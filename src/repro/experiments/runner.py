@@ -180,10 +180,12 @@ class ExperimentContext:
         """Materialize a context from a recorded crawl bundle — no crawl.
 
         ``bundle`` is a :class:`~repro.bundle.Bundle` or a path to one.
-        The store replays in memory, the filter list comes from the
-        archive, and the web generator rebuilds from the archived seed
-        (experiments that re-crawl, e.g. the timeout ablation, still
-        can).  ``summary`` is ``None``, as for any stored-crawl context.
+        The store replays lazily in memory, the trees are built from the
+        archived request rows (:meth:`AnalysisDataset.from_bundle`), the
+        filter list comes from the archive, and the web generator
+        rebuilds from the archived seed (experiments that re-crawl, e.g.
+        the timeout ablation, still can).  ``summary`` is ``None``, as for
+        any stored-crawl context.
         """
         from ..bundle import Bundle  # deferred: repro.bundle imports crawler too
 
@@ -203,8 +205,8 @@ class ExperimentContext:
             ctx.summary = None
             with ctx.obs.tracer.span("filter-list", key="filter-list"):
                 ctx.filter_list = FilterList.from_text(bundle.filter_list_text())
-            ctx.dataset = AnalysisDataset.from_store(
-                ctx.store, filter_list=ctx.filter_list, obs=ctx.obs
+            ctx.dataset = AnalysisDataset.from_bundle(
+                bundle, filter_list=ctx.filter_list, obs=ctx.obs, store=ctx.store
             )
         if ctx.obs.ledger is not None:
             ctx.obs.ledger.append(

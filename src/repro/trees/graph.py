@@ -1,21 +1,24 @@
-"""Graph export: dependency trees as ``networkx`` digraphs.
+"""Graph views of dependency trees: the site-level inclusion graph.
 
 Tree-based Web measurements are often post-processed as graphs (AdGraph,
-the implicit-trust analyses the paper builds on).  This module converts a
-:class:`~repro.trees.tree.DependencyTree` into a ``networkx.DiGraph`` with
-node attributes, and aggregates many trees into the *site-level inclusion
-graph*: which eTLD+1 causes which other eTLD+1 to load, with edge weights
-counting observations.
+the implicit-trust analyses the paper builds on).  :func:`aggregate_inclusions`
+folds many trees into the *site-level inclusion graph* — which eTLD+1
+causes which other eTLD+1 to load, with edge weights counting
+observations — as plain dicts, which is all the analyses need.
 
-``networkx`` is imported lazily so the core library keeps its
-zero-dependency property; calling these functions without networkx raises
-an informative ImportError.
+:func:`to_networkx` and :func:`inclusion_graph` export the same data as
+``networkx.DiGraph`` objects.  ``networkx`` is imported only by those
+exports, so the core library keeps its zero-dependency property and the
+analysis path never loads it; calling them without networkx raises an
+informative ImportError.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from dataclasses import dataclass, field
+from typing import Dict, Iterable, List, Optional, Tuple
 
+from ..web import psl
 from .tree import DependencyTree
 
 
@@ -27,6 +30,106 @@ def _networkx():
             "graph export needs the optional dependency networkx"
         ) from exc
     return networkx
+
+
+@dataclass
+class InclusionGraph:
+    """A weighted inclusion digraph as plain dicts, in insertion order.
+
+    ``nodes`` maps each node to its tracking flag: ``True`` if any
+    inclusion of it was a tracking node, ``False`` if none was, and
+    ``None`` for a node that only ever included others.  ``edges`` maps
+    ``(parent, child)`` to the number of observed inclusions.
+    """
+
+    nodes: Dict[str, Optional[bool]] = field(default_factory=dict)
+    edges: Dict[Tuple[str, str], int] = field(default_factory=dict)
+
+    def number_of_nodes(self) -> int:
+        return len(self.nodes)
+
+    def number_of_edges(self) -> int:
+        return len(self.edges)
+
+    def tracker_centrality(self, top: Optional[int] = None) -> List[Tuple[str, float]]:
+        """In-degree-weighted centrality of the tracking nodes.
+
+        A tracking node scores its inclusion weight over all inclusion
+        weight.  Returns ``[(node, centrality), ...]`` sorted descending;
+        ties keep node insertion order.
+        """
+        total_weight = sum(self.edges.values()) or 1
+        fan_in: Dict[str, int] = {}
+        for (_parent, child), weight in self.edges.items():
+            fan_in[child] = fan_in.get(child, 0) + weight
+        scores = [
+            (node, fan_in.get(node, 0) / total_weight)
+            for node, tracking in self.nodes.items()
+            if tracking
+        ]
+        scores.sort(key=lambda item: item[1], reverse=True)
+        return scores[:top] if top is not None else scores
+
+    def to_networkx(self):
+        """The same graph as a ``networkx.DiGraph`` (``weight`` on edges,
+        ``tracking`` on every node that was ever included)."""
+        networkx = _networkx()
+        graph = networkx.DiGraph()
+        for node, tracking in self.nodes.items():
+            if tracking is None:
+                graph.add_node(node)
+            else:
+                graph.add_node(node, tracking=tracking)
+        for (parent, child), weight in self.edges.items():
+            graph.add_edge(parent, child, weight=weight)
+        return graph
+
+    @classmethod
+    def from_networkx(cls, graph) -> "InclusionGraph":
+        """Read back a digraph built by :func:`inclusion_graph`."""
+        return cls(
+            nodes={node: attrs.get("tracking") for node, attrs in graph.nodes(data=True)},
+            edges={
+                (parent, child): data["weight"]
+                for parent, child, data in graph.edges(data=True)
+            },
+        )
+
+
+def aggregate_inclusions(
+    trees: Iterable[DependencyTree], by_site: bool = True
+) -> InclusionGraph:
+    """Aggregate trees into a weighted inclusion graph.
+
+    With ``by_site`` (default) nodes are eTLD+1s and an edge A → B with
+    weight w means resources of site A caused resources of site B to load
+    w times across the input trees.  The visited page's own site is the
+    root of each contribution.  With ``by_site=False`` nodes stay URLs.
+    Self-inclusions are skipped.
+    """
+    graph = InclusionGraph()
+    nodes, edges = graph.nodes, graph.edges
+    for tree in trees:
+        if by_site:
+            host = tree.page_url.split("://", 1)[-1].split("/", 1)[0]
+            page = psl.registrable_domain(host) or host
+        else:
+            page = tree.page_url
+        for node in tree.nodes():
+            child = (node.site or node.host) if by_site else node.key
+            parent_node = node.parent
+            if parent_node is None or parent_node.is_root:
+                parent = page
+            else:
+                parent = (parent_node.site or parent_node.host) if by_site else parent_node.key
+            if not child or not parent or child == parent:
+                continue
+            edge = (parent, child)
+            edges[edge] = edges.get(edge, 0) + 1
+            nodes.setdefault(parent, None)
+            if not nodes.get(child):
+                nodes[child] = node.is_tracking
+    return graph
 
 
 def to_networkx(tree: DependencyTree):
@@ -57,55 +160,16 @@ def to_networkx(tree: DependencyTree):
 
 
 def inclusion_graph(trees: Iterable[DependencyTree], by_site: bool = True):
-    """Aggregate trees into a weighted inclusion digraph.
-
-    With ``by_site`` (default) nodes are eTLD+1s and an edge A → B with
-    weight w means resources of site A caused resources of site B to load
-    w times across the input trees.  The visited page's own site is the
-    root of each contribution.  With ``by_site=False`` nodes stay URLs.
-    """
-    networkx = _networkx()
-    graph = networkx.DiGraph()
-    for tree in trees:
-        page_site = tree.root.key
-        if by_site:
-            from ..web import psl
-
-            host = tree.page_url.split("://", 1)[-1].split("/", 1)[0]
-            page_site = psl.registrable_domain(host) or host
-        for node in tree.nodes():
-            child = (node.site or node.host) if by_site else node.key
-            parent_node = node.parent
-            if parent_node is None or parent_node.is_root:
-                parent = page_site if by_site else tree.page_url
-            else:
-                parent = (parent_node.site or parent_node.host) if by_site else parent_node.key
-            if not child or not parent or child == parent:
-                continue
-            if graph.has_edge(parent, child):
-                graph[parent][child]["weight"] += 1
-            else:
-                graph.add_edge(parent, child, weight=1)
-            graph.nodes[child].setdefault("tracking", False)
-            if node.is_tracking:
-                graph.nodes[child]["tracking"] = True
-    return graph
+    """:func:`aggregate_inclusions` as a weighted ``networkx.DiGraph``."""
+    return aggregate_inclusions(trees, by_site=by_site).to_networkx()
 
 
 def tracker_centrality(graph, top: Optional[int] = None):
     """In-degree-weighted centrality of tracking nodes in an inclusion graph.
 
-    Returns ``[(site, centrality), ...]`` sorted descending; restricted to
-    nodes flagged ``tracking`` by :func:`inclusion_graph`.
+    ``graph`` is an :class:`InclusionGraph` or a digraph from
+    :func:`inclusion_graph`; see :meth:`InclusionGraph.tracker_centrality`.
     """
-    total_weight = sum(data["weight"] for _, _, data in graph.edges(data=True)) or 1
-    scores = []
-    for node, attrs in graph.nodes(data=True):
-        if not attrs.get("tracking"):
-            continue
-        fan_in = sum(
-            data["weight"] for _, _, data in graph.in_edges(node, data=True)
-        )
-        scores.append((node, fan_in / total_weight))
-    scores.sort(key=lambda item: item[1], reverse=True)
-    return scores[:top] if top is not None else scores
+    if not isinstance(graph, InclusionGraph):
+        graph = InclusionGraph.from_networkx(graph)
+    return graph.tracker_centrality(top)

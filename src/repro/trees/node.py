@@ -18,6 +18,7 @@ class TreeNode:
 
     __slots__ = (
         "key",
+        "host",
         "resource_type",
         "parent",
         "_children",
@@ -37,6 +38,8 @@ class TreeNode:
         is_third_party: bool = False,
     ) -> None:
         self.key = key
+        #: Best-effort host of the node's URL (empty if unparseable).
+        self.host = host_of(key)
         self.resource_type = resource_type
         self.parent = parent
         self._children: Dict[str, TreeNode] = {}
@@ -106,25 +109,24 @@ class TreeNode:
     # -- annotations -------------------------------------------------------
 
     @property
-    def host(self) -> str:
-        """Best-effort host of the node's URL (empty if unparseable)."""
-        key = self.key
-        scheme_sep = key.find("://")
-        if scheme_sep < 0:
-            return ""
-        rest = key[scheme_sep + 3 :]
-        for stop in ("/", "?", "#"):
-            index = rest.find(stop)
-            if index >= 0:
-                rest = rest[:index]
-        return rest.rsplit("@", 1)[-1].split(":", 1)[0].lower()
-
-    @property
     def site(self) -> Optional[str]:
         return psl.registrable_domain(self.host)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"TreeNode({self.key!r}, depth={self.depth}, type={self.resource_type.value})"
+
+
+def host_of(url: str) -> str:
+    """Best-effort lower-cased host of ``url`` (empty without a scheme)."""
+    scheme_sep = url.find("://")
+    if scheme_sep < 0:
+        return ""
+    rest = url[scheme_sep + 3 :]
+    for stop in ("/", "?", "#"):
+        index = rest.find(stop)
+        if index >= 0:
+            rest = rest[:index]
+    return rest.rsplit("@", 1)[-1].split(":", 1)[0].lower()
 
 
 def node_resource_type(value: str) -> ResourceType:

@@ -28,8 +28,8 @@ class DependencyTree:
         self.page_url = page_url
         self.profile_name = profile_name
         self.visit_id = visit_id
-        self._page_host = _host_of(page_url)
         self.root = TreeNode(key=page_url, resource_type=ResourceType.MAIN_FRAME)
+        self._page_host = self.root.host
         self._nodes: Dict[str, TreeNode] = {page_url: self.root}
         self._index: Optional[Tuple[List[TreeNode], Dict[int, List[TreeNode]]]] = None
 
@@ -52,12 +52,8 @@ class DependencyTree:
         """
         node = self._nodes.get(key)
         if node is None:
-            node = TreeNode(
-                key=key,
-                resource_type=resource_type,
-                parent=parent,
-                is_third_party=not psl.same_site(_host_of(key), self._page_host),
-            )
+            node = TreeNode(key=key, resource_type=resource_type, parent=parent)
+            node.is_third_party = not psl.same_site(node.host, self._page_host)
             node.during_interaction = during_interaction
             self._nodes[key] = node
             parent.add_child(node)
@@ -166,15 +162,3 @@ class DependencyTree:
             f"DependencyTree({self.page_url!r}, profile={self.profile_name!r}, "
             f"nodes={self.node_count}, depth={self.max_depth})"
         )
-
-
-def _host_of(url: str) -> str:
-    scheme_sep = url.find("://")
-    if scheme_sep < 0:
-        return ""
-    rest = url[scheme_sep + 3 :]
-    for stop in ("/", "?", "#"):
-        index = rest.find(stop)
-        if index >= 0:
-            rest = rest[:index]
-    return rest.rsplit("@", 1)[-1].split(":", 1)[0].lower()

@@ -225,10 +225,82 @@ class TestMergeAndSnapshots:
         with pytest.raises(StorageError, match="notes.txt is not a measurement store"):
             MeasurementStore.open_readonly(str(path))
 
+    def test_writable_non_sqlite_file_rejected(self, tmp_path):
+        path = tmp_path / "notes.txt"
+        path.write_text("not a database\n")
+        with pytest.raises(StorageError, match="cannot open store .*notes.txt") as info:
+            MeasurementStore(str(path))
+        assert "file is not a database" in str(info.value)
+        assert isinstance(info.value.__cause__, sqlite3.DatabaseError)
+        assert path.read_text() == "not a database\n"
+
+    def test_writable_directory_rejected(self, tmp_path):
+        with pytest.raises(StorageError, match=f"cannot open store {tmp_path}"):
+            MeasurementStore(str(tmp_path))
+
     def test_on_disk_store_uses_wal(self, tmp_path):
         with MeasurementStore(str(tmp_path / "db.sqlite")) as store:
             mode = store._conn.execute("PRAGMA journal_mode").fetchone()[0]
             assert mode == "wal"
+
+
+class TestDeferredTables:
+    """``defer_table``: a table fills on the first statement naming it."""
+
+    def rows_of(self, visit_id):
+        with MeasurementStore() as source:
+            source.store_visit(make_result(visit_id=visit_id))
+            return {
+                table: list(source.iter_table_rows(table))
+                for table in source.table_names()
+            }
+
+    def deferred(self, rows, calls):
+        store = MeasurementStore()
+        for table in store.table_names():
+            store.defer_table(
+                table, lambda table=table: calls.append(table) or rows[table]
+            )
+        return store
+
+    def test_reads_fill_only_the_tables_they_name(self):
+        rows, calls = self.rows_of(1), []
+        with self.deferred(rows, calls) as store:
+            assert store.visit_count() == 1
+            assert calls == ["visits"]
+            assert store.document_response(1) is None  # no responses recorded
+            assert calls == ["visits", "http_redirects", "http_responses"]
+            assert len(store.requests_for_visit(1)) == 2
+            assert store.visit_count() == 1
+            assert calls == ["visits", "http_redirects", "http_responses", "http_requests"]
+
+    def test_writes_fill_every_table_first(self):
+        rows, calls = self.rows_of(1), []
+        with self.deferred(rows, calls) as store:
+            store.store_visit(make_result(visit_id=2))
+            assert sorted(calls) == sorted(store.table_names())
+            assert [row[0] for row in store.iter_table_rows("visits")] == [1, 2]
+
+    def test_failed_load_stays_deferred(self):
+        rows, attempts = self.rows_of(1), []
+
+        def flaky():
+            attempts.append(1)
+            if len(attempts) == 1:
+                raise StorageError("member unreadable")
+            return rows["visits"]
+
+        with MeasurementStore() as store:
+            store.defer_table("visits", flaky)
+            with pytest.raises(StorageError, match="member unreadable"):
+                store.visit_count()
+            assert store.visit_count() == 1
+            assert len(attempts) == 2
+
+    def test_unknown_table_rejected(self):
+        with MeasurementStore() as store:
+            with pytest.raises(StorageError, match="unknown table"):
+                store.defer_table("visit", list)
 
 
 class TestSchemaVersion:

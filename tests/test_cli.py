@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -23,6 +24,14 @@ def run_module(*args, cwd):
     )
 
 
+def one_error_line(result):
+    """The single ``error: …`` line a ``ReproError`` exit prints, asserted."""
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1, result.stderr
+    assert lines[0].startswith("error: ")
+    return lines[0]
+
+
 @pytest.fixture(scope="module")
 def crawl_db(tmp_path_factory):
     db = tmp_path_factory.mktemp("cli") / "run.sqlite"
@@ -41,6 +50,31 @@ class TestCrawl:
         with MeasurementStore(crawl_db) as store:
             assert store.visit_count() > 0
             assert len(store.profiles()) == 5
+
+    def test_non_sqlite_db_is_an_error_line(self, tmp_path):
+        text_file = tmp_path / "notes.txt"
+        text_file.write_text("not a database\n")
+        result = run_module(
+            "repro", "crawl", "--db", str(text_file), "--sites-per-bucket", "1",
+            cwd=tmp_path,
+        )
+        assert result.returncode == 2
+        assert one_error_line(result) == (
+            f"error: cannot open store {text_file}: file is not a database"
+        )
+        assert text_file.read_text() == "not a database\n"
+
+    def test_second_crawl_into_same_db_is_an_error_line(self, crawl_db, tmp_path):
+        db = tmp_path / "again.sqlite"
+        shutil.copyfile(crawl_db, db)
+        result = run_module(
+            "repro", "crawl", "--db", str(db), "--seed", "5",
+            "--sites-per-bucket", "1", "--pages-per-site", "3",
+            cwd=tmp_path,
+        )
+        assert result.returncode == 2
+        assert one_error_line(result).startswith("error: duplicate visit id 1 in visits")
+        assert result.stdout == ""
 
 
 class TestAnalyze:
@@ -77,9 +111,8 @@ class TestAnalyze:
             "repro", "analyze", "--db", str(missing), "--experiments", "table2",
             cwd=tmp_path,
         )
-        assert result.returncode != 0
-        assert "StorageError" in result.stderr
-        assert str(missing) in result.stderr
+        assert result.returncode == 2
+        assert one_error_line(result).startswith(f"error: cannot open store {missing}")
         assert "AnalysisError" not in result.stderr
         assert not missing.exists()
         assert list(tmp_path.iterdir()) == []
@@ -91,10 +124,10 @@ class TestAnalyze:
             "repro", "analyze", "--db", str(text_file), "--experiments", "table2",
             cwd=tmp_path,
         )
-        assert result.returncode != 0
-        last_line = result.stderr.strip().splitlines()[-1]
-        assert last_line.startswith("repro.errors.StorageError")
-        assert str(text_file) in last_line
+        assert result.returncode == 2
+        assert one_error_line(result) == (
+            f"error: {text_file} is not a measurement store: file is not a database"
+        )
         assert text_file.read_text() == "not a database\n"
 
 

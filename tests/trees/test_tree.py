@@ -1,6 +1,9 @@
 """Tests for DependencyTree and TreeNode."""
 
+import pytest
+
 from repro.blocklist.matcher import FilterList
+from repro.trees.node import TreeNode
 from repro.trees.tree import DependencyTree
 from repro.web.resources import ResourceType
 
@@ -116,3 +119,31 @@ class TestTrackingAnnotation:
         node = tree.node("https://trk.com/pixel.gif")
         assert node.host == "trk.com"
         assert node.site == "trk.com"
+
+
+class TestNodeHost:
+    """``TreeNode.host`` is fixed at construction from the key."""
+
+    @pytest.mark.parametrize(
+        "key, host",
+        [
+            ("https://user:pw@Sub.Example.com:8443/a?b#c", "sub.example.com"),
+            ("https://example.com?x=1", "example.com"),
+            ("https://example.com#top", "example.com"),
+            ("example.com/a.js", ""),
+            ("data:text/plain,hi", ""),
+        ],
+    )
+    def test_host_of_key(self, key, host):
+        assert TreeNode(key=key, resource_type=ResourceType.SCRIPT).host == host
+
+    def test_attach_classifies_party_by_host(self):
+        tree = DependencyTree("https://www.site.com/", "Test", 1)
+        first = tree.attach(
+            "https://CDN.site.com:443/x.js", ResourceType.SCRIPT, tree.root, "r1", 1
+        )
+        third = tree.attach(
+            "https://a@other.com/y.js", ResourceType.SCRIPT, first, "r2", 2
+        )
+        assert (first.host, first.is_third_party) == ("cdn.site.com", False)
+        assert (third.host, third.is_third_party) == ("other.com", True)
